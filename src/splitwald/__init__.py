@@ -43,12 +43,14 @@ from .experiments import (
     export_report,
     load_plan,
     plan_from_dict,
+    power_curve_empirical,
     run_plan,
 )
 from .randomization import (
     SeedSpec,
     WeightSequence,
     check_p0,
+    draw_bernoulli_rows,
     draw_bernoulli_weights,
     population_weights,
 )
@@ -64,10 +66,8 @@ from .teststats import (
     StatisticConfig,
     TestMode,
     TestOutcome,
-    compute_d_sequence,
-    power_curve_empirical,
+    draw_statistics,
     run_test,
-    single_shot,
 )
 from .theory import (
     LocalAlternative,

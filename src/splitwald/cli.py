@@ -23,10 +23,10 @@ from .errors import (
     SplitwaldError,
     TooFewRows,
 )
-from .experiments import export_report, load_plan, run_plan
+from .experiments import export_report, load_plan, power_curve_empirical, run_plan
 from .randomization import SeedSpec
 from .regression import RegressionData, Restriction
-from .teststats import StatisticConfig, TestMode, power_curve_empirical, run_test
+from .teststats import StatisticConfig, TestMode, run_test
 from .theory import asymptotic_power, elasticity, f_p0, g_p0
 
 EXIT_OK = 0

@@ -3,7 +3,7 @@
 A plan enumerates cells as the product of sample sizes, tuning
 probabilities and true slopes for one scenario. Each replication ``r`` of
 cell ``c`` runs on the private stream ``(master_seed, c, r)``: the data
-channel is its 0-child and the test's Bernoulli draws live under its
+channel is its 0-child and the test's Bernoulli draws are the stream at its
 1-child. Rejections are aggregated by exact integer counting, so reports
 are bit-identical for a fixed master seed regardless of the worker count.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from ._version import __version__
 from .dgp import DgpSpec, preset, simulate
 from .errors import DegenerateVariance, EmptyReport, PlanParseError
-from .randomization import SeedSpec, check_p0
+from .randomization import STREAM_LAYOUT, SeedSpec, check_p0
 from .regression import RegressionData, Restriction
 from .teststats import StatisticConfig, TestMode, run_test
 
@@ -245,8 +245,39 @@ def run_plan(plan, progress=None):
         "master_seed": plan.master_seed,
         "wall_time": time.perf_counter() - started,
         "software_version": __version__,
+        "stream_layout": STREAM_LAYOUT,
     }
     return ExperimentReport(cells=out, metadata=metadata)
+
+
+def power_curve_empirical(dgp, beta_grid, cfg, reps, seed, workers=1):
+    """Rejection frequency along a grid of true slopes.
+
+    Simulates ``reps`` datasets per slope value through :func:`run_plan`
+    (so the parallelism and seeding rules are identical to size studies)
+    and reports one rejection rate per slope, ordered by the input grid.
+    """
+    beta_grid = [float(b) for b in beta_grid]
+    if len(beta_grid) == 0:
+        raise ValueError("beta_grid must be nonempty")
+    if reps < 100:
+        raise ValueError(f"need at least 100 replications, got {reps!r}")
+    plan = ExperimentPlan(
+        dgp=dgp,
+        n_grid=(dgp.n,),
+        p0_grid=(cfg.p0,),
+        cfg_template=cfg,
+        beta_grid=tuple(beta_grid),
+        replications=int(reps),
+        master_seed=seed.master_seed,
+        seed_stream=seed.stream_id,
+        workers=workers,
+    )
+    report = run_plan(plan)
+    return [
+        {"beta": cell.beta, "rejection_rate": cell.rejection_rate, "mc_se": cell.mc_se}
+        for cell in report.cells
+    ]
 
 
 def _fmt(x):

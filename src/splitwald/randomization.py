@@ -7,9 +7,17 @@ every consumer owns a private, addressable stream. :class:`SeedSpec` provides
 that: a ``(master_seed, stream_id)`` pair maps to a counter-based Philox
 stream via :class:`numpy.random.SeedSequence`, and ``child(...)`` derives
 statistically independent sub-streams for nested consumers (replications,
-per-draw Bernoulli sequences, data channels).
+data channels, a test's Bernoulli draws).
+
+Stream layout 2: the ``M`` Bernoulli draws of one test are the rows of one
+``(M, n)`` block of uniforms from the Philox stream at the test's seed, row
+``j - 1`` holding draw ``j``. A row that comes out all zeros or all ones is
+redrawn, in row order, from the continuation of that same stream. Philox is
+counter-based, so the rows are independent and addressable without a
+generator per draw.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,10 @@ from .errors import InvalidLength, InvalidP0
 P0_LOW = 0.30
 P0_HIGH = 0.70
 P0_HALF_GAP = 0.02
+
+# Version of the mapping from seeds to Bernoulli draws described above;
+# recorded in test outcomes and report metadata.
+STREAM_LAYOUT = 2
 
 _U64 = 2**64
 
@@ -130,30 +142,45 @@ class WeightSequence:
         return self.b.shape[0]
 
 
-def draw_bernoulli_weights(n, p0, seed):
-    """Draw an i.i.d. Bernoulli(n, p0) sequence and its weights.
+def draw_bernoulli_rows(n, p0, m, seed):
+    """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the stream at ``seed``.
 
-    Degenerate draws (all zeros or all ones) are rejected and redrawn from
-    the continuation of the same stream, so the weights are always defined.
-
-    Parameters
-    ----------
-    n : int
-        Sequence length, at least 2.
-    p0 : float
-        Success probability in the admissible set.
-    seed : SeedSpec
-        Private stream for this draw.
+    Returns the ``(m, n)`` 0/1 float64 matrix and its row counts, for
+    ``n >= 2`` and ``m >= 1``. The draws are compared in place, so no
+    second ``(m, n)`` array is made. A degenerate row (all zeros or all
+    ones) is redrawn, in row order, from the continuation of the stream, so
+    every returned row is mixed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidLength(f"n must be an integer >= 2, got {n!r}")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidLength(f"m must be an integer >= 1, got {m!r}")
     p0 = check_p0(p0)
-    gen = seed.generator()
-    while True:
-        b = (gen.random(int(n)) < p0).astype(np.float64)
-        s = b.sum()
-        if 0.0 < s < n:
-            return WeightSequence.from_draws(b, p0)
+    # The uniform of a raw 64-bit word x is (x >> 11) * 2**-53, so it is
+    # below p0 exactly when x < ceil(p0 * 2**53) * 2**11. Comparing the raw
+    # words therefore gives the same rows as comparing the uniforms.
+    threshold = np.uint64(math.ceil(p0 * 2.0**53) << 11)
+    bits = seed.generator().bit_generator
+    raw = bits.random_raw((m, n))
+    b = raw.view(np.float64)
+    np.less(raw, threshold, out=b, casting="unsafe")
+    counts = b.sum(axis=1)
+    for j in np.flatnonzero((counts == 0.0) | (counts == n)):
+        while not 0.0 < counts[j] < n:
+            np.less(bits.random_raw(n), threshold, out=b[j], casting="unsafe")
+            counts[j] = b[j].sum()
+    return b, counts
+
+
+def draw_bernoulli_weights(n, p0, seed):
+    """Draw one i.i.d. Bernoulli(n, p0) sequence and its weights.
+
+    This is row 0 of :func:`draw_bernoulli_rows` at ``seed``: a degenerate
+    draw is redrawn from the continuation of the same stream, so the
+    weights are always defined.
+    """
+    b, _ = draw_bernoulli_rows(n, p0, 1, seed)
+    return WeightSequence.from_draws(b[0], p0)
 
 
 def population_weights(b, p0):

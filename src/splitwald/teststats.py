@@ -10,6 +10,12 @@ whose studentized squared mean is the single-shot statistic. Summing over
 null; its centered and scaled version ``(S_M - M) / sqrt(2 M)`` is standard
 normal when ``M`` grows with the sample (but slower than it).
 
+The ``M`` draws are the rows of one Bernoulli block (stream layout 2, see
+:mod:`splitwald.randomization`). The weights take two values per row, so
+every row's mean and variance of ``d`` are closed forms in three masked
+sums, and one ``(M, n) @ (n, 3)`` product gives all ``M`` statistics
+without forming any ``d``.
+
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
 statistic to a two-sided standard-normal region; an upper-tail-only normal
@@ -26,7 +32,7 @@ import numpy as np
 
 from .distributions import ChiSquareParams, chisq_sf, normal_sf
 from .errors import DegenerateVariance, InvalidDelta, LengthMismatch
-from .randomization import check_p0, draw_bernoulli_weights
+from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
 from .regression import DesignFactor
 from .theory import mn_rule
 
@@ -72,10 +78,6 @@ class StatisticConfig:
             raise InvalidDelta(
                 f"mn_delta must lie in (0, 1) so that M_n/n -> 0, got {self.mn_delta!r}"
             )
-
-    @classmethod
-    def fixed(cls, m=5, p0=0.40, alpha=0.10):
-        return cls(p0=p0, mode=TestMode.FIXED_M_CHI_SQUARE, m=m, alpha=alpha)
 
     @classmethod
     def growing(cls, mn_delta=1.0 / 3.0, p0=0.40, alpha=0.10):
@@ -125,76 +127,100 @@ class TestOutcome:
                 for d in self.per_draw
             ],
             "seed": self.seed.describe(),
+            "stream_layout": STREAM_LAYOUT,
         }
 
 
-def compute_d_sequence(u0_sq, u1_sq, sigma2_1, weights):
-    """Weighted contrast of squared residuals around the variance anchor."""
+def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
+    """Single-shot statistics of every Bernoulli row, in closed form.
+
+    ``b`` is the ``(M, n)`` 0/1 matrix of the draws and ``counts`` its row
+    sums. With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` has
+    ``d_t = k_t a_t - c_t`` where ``k_t`` is ``1/(2 b_bar)`` on its ones and
+    ``1/(2 (1 - b_bar))`` on its zeros, so ``sum(d)`` and ``sum(d^2)`` follow
+    from the masked sums ``b @ [a, a^2, a c]`` and fixed totals.
+
+    The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
+    ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
+    mean of ``d`` up to a split term of order ``s_d / sqrt(n)``, so the
+    one-pass variance does not cancel when ``d`` is far from zero or nearly
+    constant.
+
+    Returns the arrays ``(s_n, d_bar, s_d2)``, with the n-divisor variance.
+    A row whose ``d`` is numerically constant cannot be studentized and
+    raises :class:`DegenerateVariance` carrying the first such draw (1-based).
+    """
     u0_sq = np.asarray(u0_sq, dtype=np.float64)
     u1_sq = np.asarray(u1_sq, dtype=np.float64)
-    w = weights.w
-    if not u0_sq.shape == u1_sq.shape == w.shape:
+    m, n = b.shape
+    if not u0_sq.shape == u1_sq.shape == (n,) or counts.shape != (m,):
         raise LengthMismatch(
-            f"length mismatch: u0 {u0_sq.shape}, u1 {u1_sq.shape}, weights {w.shape}"
+            f"length mismatch: u0 {u0_sq.shape}, u1 {u1_sq.shape}, "
+            f"draws {b.shape}, counts {counts.shape}"
         )
-    if sigma2_1 < 0:
-        raise ValueError(f"sigma2_1 must be >= 0, got {sigma2_1!r}")
-    return w * (u0_sq - sigma2_1) - (u1_sq - sigma2_1)
-
-
-def single_shot(d):
-    """Studentized squared mean of one contrast sequence.
-
-    Uses the n-divisor sample variance. A numerically constant ``d`` (for
-    example restricted == unrestricted fit with no noise) cannot be
-    studentized and raises :class:`DegenerateVariance`; callers surface it
-    as an inconclusive test.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    n = d.shape[0]
     if n < 2:
         raise LengthMismatch(f"need at least 2 observations, got {n}")
-    d_bar = float(d.mean())
-    centered = d - d_bar
-    s_d2 = float(centered @ centered) / n
-    if s_d2 < 1e-14 * (1.0 + d_bar * d_bar):
+    if sigma2_1 < 0:
+        raise ValueError(f"sigma2_1 must be >= 0, got {sigma2_1!r}")
+    a = u0_sq - sigma2_1
+    c = u1_sq - sigma2_1
+    m0 = a.mean() - c.mean()
+    c += m0
+    rows = np.vstack((a, a * a, a * c))
+    s_a, s_aa, s_ac = (b @ rows.T).T
+    t_a, t_aa, t_ac = rows.sum(axis=1)
+    b_bar = counts / n
+    k1 = 0.5 / b_bar
+    k0 = 0.5 / (1.0 - b_bar)
+    sum_d = k1 * s_a + k0 * (t_a - s_a) - c.sum()
+    sum_d2 = (
+        k1 * k1 * s_aa
+        + k0 * k0 * (t_aa - s_aa)
+        - 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
+        + c @ c
+    )
+    shift = sum_d / n
+    d_bar = m0 + shift
+    s_d2 = sum_d2 / n - shift * shift
+    degenerate = np.flatnonzero(s_d2 < 1e-14 * (1.0 + d_bar * d_bar))
+    if degenerate.size:
+        j = int(degenerate[0])
         raise DegenerateVariance(
-            f"contrast sequence has numerically zero variance (s_d2={s_d2:.3e})"
+            f"Bernoulli draw {j + 1} of {m}: contrast sequence has numerically "
+            f"zero variance (s_d2={s_d2[j]:.3e})",
+            draw_index=j + 1,
         )
-    return DrawStat(s_n=n * d_bar * d_bar / s_d2, d_bar=d_bar, s_d2=s_d2)
+    return n * d_bar * d_bar / s_d2, d_bar, s_d2
 
 
 def run_test(data, restriction, cfg, seed):
     """Run the full randomized test on one dataset.
 
-    Fits the restricted and unrestricted regressions once, draws ``M``
-    independent Bernoulli weight sequences (draw ``j`` on the sub-stream
-    ``seed.child(j)``), aggregates the single-shot statistics and returns
-    the outcome: chi-square(M) upper-tail p-value in fixed-M mode,
-    two-sided standard-normal p-value for the centered-scaled statistic in
-    growing-M mode.
+    Fits the restricted and unrestricted regressions once, draws the ``M``
+    Bernoulli rows from the one stream at ``seed`` (draw ``j`` is row
+    ``j - 1``, stream layout 2), computes every single-shot statistic with
+    :func:`draw_statistics`, aggregates them and returns the outcome:
+    chi-square(M) upper-tail p-value in fixed-M mode, two-sided
+    standard-normal p-value for the centered-scaled statistic in growing-M
+    mode.
     """
     factor = DesignFactor(data)
     unrestricted = factor.unrestricted()
     restricted = factor.restricted(restriction)
-    sigma2_1 = unrestricted.sigma2_hat
-    u0_sq = restricted.residuals**2
-    u1_sq = unrestricted.residuals**2
-
     m = cfg.resolve_m(data.n)
-    per_draw = []
-    s_m = 0.0
-    for j in range(1, m + 1):
-        weights = draw_bernoulli_weights(data.n, cfg.p0, seed.child(j))
-        d = compute_d_sequence(u0_sq, u1_sq, sigma2_1, weights)
-        try:
-            shot = single_shot(d)
-        except DegenerateVariance as exc:
-            raise DegenerateVariance(
-                f"Bernoulli draw {j} of {m}: {exc}", draw_index=j
-            ) from exc
-        per_draw.append(shot)
-        s_m += shot.s_n
+    b, counts = draw_bernoulli_rows(data.n, cfg.p0, m, seed)
+    s_n, d_bar, s_d2 = draw_statistics(
+        restricted.residuals**2,
+        unrestricted.residuals**2,
+        unrestricted.sigma2_hat,
+        b,
+        counts,
+    )
+    per_draw = [
+        DrawStat(s_n=s, d_bar=d, s_d2=v)
+        for s, d, v in zip(s_n.tolist(), d_bar.tolist(), s_d2.tolist())
+    ]
+    s_m = float(s_n.sum())
 
     q = (s_m - m) / math.sqrt(2.0 * m)
     if cfg.mode is TestMode.FIXED_M_CHI_SQUARE:
@@ -212,36 +238,3 @@ def run_test(data, restriction, cfg, seed):
         mode=cfg.mode,
         alpha=cfg.alpha,
     )
-
-
-def power_curve_empirical(dgp, beta_grid, cfg, reps, seed, workers=1):
-    """Rejection frequency along a grid of true slopes.
-
-    Simulates ``reps`` datasets per slope value through the experiment
-    runner (so the parallelism and seeding rules are identical to size
-    studies) and reports one rejection rate per slope, ordered by the input
-    grid.
-    """
-    from . import experiments
-
-    beta_grid = [float(b) for b in beta_grid]
-    if len(beta_grid) == 0:
-        raise ValueError("beta_grid must be nonempty")
-    if reps < 100:
-        raise ValueError(f"need at least 100 replications, got {reps!r}")
-    plan = experiments.ExperimentPlan(
-        dgp=dgp,
-        n_grid=(dgp.n,),
-        p0_grid=(cfg.p0,),
-        cfg_template=cfg,
-        beta_grid=tuple(beta_grid),
-        replications=int(reps),
-        master_seed=seed.master_seed,
-        seed_stream=seed.stream_id,
-        workers=workers,
-    )
-    report = experiments.run_plan(plan)
-    return [
-        {"beta": cell.beta, "rejection_rate": cell.rejection_rate, "mc_se": cell.mc_se}
-        for cell in report.cells
-    ]

@@ -8,6 +8,7 @@ from splitwald import (
     InvalidP0,
     SeedSpec,
     WeightSequence,
+    draw_bernoulli_rows,
     draw_bernoulli_weights,
     population_weights,
 )
@@ -62,6 +63,47 @@ class TestWeights:
         for k in range(200):
             ws = draw_bernoulli_weights(2, 0.3, SeedSpec(7, k))
             assert 0.0 < ws.b_bar < 1.0
+
+
+class TestRows:
+    def test_degenerate_rows_redrawn_in_row_order_from_the_continuation(self):
+        # n=3 at p0=0.30: P(degenerate row) = 0.7^3 + 0.3^3, about 37%
+        n, p0, m = 3, 0.30, 40
+        seed = SeedSpec(8)
+        b, counts = draw_bernoulli_rows(n, p0, m, seed)
+        assert b.shape == (m, n) and b.dtype == np.float64
+        assert np.all((counts > 0) & (counts < n))
+        np.testing.assert_array_equal(counts, b.sum(axis=1))
+
+        # replay stream layout 2: the (m, n) block, then one continuation
+        # row per attempt for each degenerate row, in row order
+        gen = seed.generator()
+        expected = (gen.random((m, n)) < p0).astype(np.float64)
+        redrawn = [j for j in range(m) if expected[j].sum() in (0, n)]
+        assert len(redrawn) >= 8
+        for j in redrawn:
+            row = gen.random(n) < p0
+            while row.sum() in (0, n):
+                row = gen.random(n) < p0
+            expected[j] = row
+        np.testing.assert_array_equal(b, expected)
+
+        again, again_counts = draw_bernoulli_rows(n, p0, m, seed)
+        assert again.tobytes() == b.tobytes()
+        assert again_counts.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("p0", [0.30, 0.1 + 0.2, 0.42, 0.58, 0.70, 2.0 / 3.0])
+    def test_rows_are_the_stream_uniforms_below_p0(self, p0):
+        b, _ = draw_bernoulli_rows(200, p0, 30, SeedSpec(3))
+        uniforms = SeedSpec(3).generator().random((30, 200))
+        np.testing.assert_array_equal(b, uniforms < p0)
+        ws = draw_bernoulli_weights(200, p0, SeedSpec(3))
+        np.testing.assert_array_equal(ws.b, b[0])
+
+    @pytest.mark.parametrize("m", [0, -1, 2.0])
+    def test_invalid_row_count(self, m):
+        with pytest.raises(InvalidLength):
+            draw_bernoulli_rows(10, 0.4, m, SeedSpec(0))
 
 
 @given(

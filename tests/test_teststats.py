@@ -16,16 +16,20 @@ from splitwald import (
     WeightSequence,
     chisq_sf,
     ChiSquareParams,
-    compute_d_sequence,
+    draw_bernoulli_rows,
     draw_bernoulli_weights,
+    draw_statistics,
     fit_restricted,
     fit_unrestricted,
     power_curve_empirical,
     preset,
     run_test,
-    single_shot,
+    simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
+from splitwald.regression import DesignFactor
+
+from oracle import compute_d_sequence, draw_statistics_oracle, single_shot
 
 
 def toy_data(n=200, seed=0, beta=0.0):
@@ -146,12 +150,14 @@ class TestRunTest:
 
         unres = fit_unrestricted(data)
         res = fit_restricted(data, Restriction.all_slopes(1))
-        ws = draw_bernoulli_weights(data.n, 0.40, seed.child(1))
+        # stream layout 2: the only draw is row 0 of the stream at `seed`
+        ws = draw_bernoulli_weights(data.n, 0.40, seed)
         d = compute_d_sequence(
             res.residuals**2, unres.residuals**2, unres.sigma2_hat, ws
         )
         shot = single_shot(d)
-        assert out.s_m == shot.s_n
+        # closed form against the two-pass oracle: rounding differs
+        assert out.s_m == pytest.approx(shot.s_n, rel=1e-12)
         assert len(out.per_draw) == 1
 
     def test_determinism(self):
@@ -218,6 +224,113 @@ class TestRunTest:
         from splitwald import normal_sf
 
         assert out.p_value == pytest.approx(2.0 * normal_sf(abs(out.q)), abs=1e-15)
+
+
+def residual_inputs(data, restriction):
+    factor = DesignFactor(data)
+    unrestricted = factor.unrestricted()
+    restricted = factor.restricted(restriction)
+    return restricted.residuals**2, unrestricted.residuals**2, unrestricted.sigma2_hat
+
+
+def assert_matches_oracle(u0_sq, u1_sq, sigma2_1, b, counts):
+    """Closed form against the two-pass oracle on the same rows.
+
+    Returns the ``draw_index`` at which both raised, or None. Each quantity
+    must agree at rtol 1e-10. Both computations round every ``d_t`` at
+    about eps * |d_t|, so the agreement also has an absolute floor of
+    ``u = 1e-12 (|d_bar| + s_d)`` on ``d_bar``, propagated to ``s_d2`` and
+    ``s_n``; it matters only where ``d_bar`` is near 0 or ``d`` is near
+    constant.
+    """
+    try:
+        expected = draw_statistics_oracle(u0_sq, u1_sq, sigma2_1, b)
+    except DegenerateVariance as exc:
+        with pytest.raises(DegenerateVariance) as err:
+            draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts)
+        assert err.value.draw_index == exc.draw_index
+        return exc.draw_index
+    s_n, d_bar, s_d2 = draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts)
+    n = b.shape[1]
+    ref_s_n = np.array([shot.s_n for shot in expected])
+    ref_d_bar = np.array([shot.d_bar for shot in expected])
+    ref_s_d2 = np.array([shot.s_d2 for shot in expected])
+    s_d = np.sqrt(ref_s_d2)
+    u = 1e-12 * (np.abs(ref_d_bar) + s_d)
+    floors = (
+        2.0 * n * np.abs(ref_d_bar) * u / ref_s_d2 * (1.0 + np.abs(ref_d_bar) / s_d),
+        u,
+        2.0 * s_d * u,
+    )
+    for got, want, floor in zip((s_n, d_bar, s_d2), (ref_s_n, ref_d_bar, ref_s_d2), floors):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + floor)
+    return None
+
+
+PRESET_CASES = [("DGP1a", 1.0), ("DGP1b", 1.0), ("DGP1c", 1.0), ("DGP2a", None), ("DGP2c_i", None)]
+
+
+class TestClosedFormAgainstOracle:
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("name,alpha1", PRESET_CASES)
+    def test_presets(self, name, alpha1, scale):
+        raised = []
+        for r in range(6):
+            beta = 0.0 if r % 2 == 0 else 0.3
+            spec = preset(name, 400, alpha1=alpha1, beta=beta)
+            seed = SeedSpec(31, r)
+            sample = simulate(spec, seed.child(0))
+            data = RegressionData(scale * sample.y, sample.X_lagged)
+            b, counts = draw_bernoulli_rows(data.n, 0.40, 12, seed.child(1))
+            inputs = residual_inputs(data, Restriction.all_slopes(spec.p))
+            raised.append(assert_matches_oracle(*inputs, b, counts))
+        if scale == 1.0:
+            assert raised == [None] * 6
+
+    def test_near_constant_contrast_crosses_the_guard(self):
+        # d_t = w_t delta z_t - K with z nonzero on five observations only:
+        # s_d2 ~ delta^2 sum(w_t^2 z_t^2) / n moves by up to (k1/k0)^2 from
+        # row to row, so as delta crosses the guard at 1e-14 (1 + K^2) the
+        # first degenerate draw moves past draw 1
+        n, big = 500, 3.0
+        z = np.zeros(n)
+        z[:5] = SeedSpec(32).generator().standard_normal(5)
+        sigma2_1 = 1.7
+        b, counts = draw_bernoulli_rows(n, 0.40, 25, SeedSpec(33))
+        outcomes = []
+        for delta in np.logspace(-8, -4, 41):
+            u0_sq = sigma2_1 + delta * z
+            u1_sq = np.full(n, sigma2_1 + big)
+            outcomes.append(assert_matches_oracle(u0_sq, u1_sq, sigma2_1, b, counts))
+        assert outcomes[0] == 1 and outcomes[-1] is None
+        assert any(k not in (None, 1) for k in outcomes)
+
+    @pytest.mark.parametrize("noise", [1e-12, 1e-8, 1e-4])
+    def test_restricted_equals_unrestricted_plus_tiny_noise(self, noise):
+        n = 300
+        gen = SeedSpec(34).generator()
+        u0_sq = gen.standard_normal(n) ** 2
+        u1_sq = u0_sq + noise * gen.random(n)
+        b, counts = draw_bernoulli_rows(n, 0.40, 10, SeedSpec(35))
+        assert assert_matches_oracle(u0_sq, u1_sq, float(u1_sq.mean()), b, counts) is None
+
+    def test_noise_free_fit(self):
+        data = RegressionData(np.full(30, 2.0), np.arange(30.0))
+        b, counts = draw_bernoulli_rows(30, 0.40, 3, SeedSpec(0))
+        inputs = residual_inputs(data, Restriction.all_slopes(1))
+        assert assert_matches_oracle(*inputs, b, counts) == 1
+
+    def test_outcome_carries_the_closed_form_per_draw(self):
+        data = toy_data(seed=8)
+        cfg = StatisticConfig(m=7)
+        out = run_test(data, Restriction.all_slopes(1), cfg, SeedSpec(36))
+        b, counts = draw_bernoulli_rows(data.n, cfg.p0, 7, SeedSpec(36))
+        s_n, d_bar, s_d2 = draw_statistics(
+            *residual_inputs(data, Restriction.all_slopes(1)), b, counts
+        )
+        assert [d.s_n for d in out.per_draw] == s_n.tolist()
+        assert [d.d_bar for d in out.per_draw] == d_bar.tolist()
+        assert [d.s_d2 for d in out.per_draw] == s_d2.tolist()
 
 
 class TestNullBehaviour:
