@@ -26,7 +26,7 @@ from .errors import (
 from .experiments import export_report, load_plan, power_curve_empirical, run_plan
 from .randomization import SeedSpec
 from .regression import RegressionData, Restriction
-from .teststats import StatisticConfig, TestMode, run_test
+from .teststats import StatisticConfig, run_test
 from .theory import asymptotic_power, elasticity, f_p0, g_p0
 
 EXIT_OK = 0
@@ -96,19 +96,11 @@ def _read_csv(path, y_col, x_cols):
 
 
 def _statistic_config(args):
-    if args.m is not None and args.mn_delta is not None:
-        raise SplitwaldError("--m and --mn-delta are mutually exclusive")
-    if args.mn_delta is not None:
-        return StatisticConfig(
-            p0=args.p0,
-            mode=TestMode.GROWING_M_NORMAL,
-            mn_delta=args.mn_delta,
-            alpha=args.alpha,
-        )
     return StatisticConfig(
         p0=args.p0,
-        mode=TestMode.FIXED_M_CHI_SQUARE,
-        m=args.m if args.m is not None else 5,
+        mode="fixed" if args.mn_delta is None else "growing",
+        m=args.m,
+        mn_delta=args.mn_delta,
         alpha=args.alpha,
     )
 

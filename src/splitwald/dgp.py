@@ -96,15 +96,9 @@ class DgpSpec:
     def __post_init__(self):
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
         p = self.alpha.shape[0]
-        self.c = np.broadcast_to(
-            np.asarray(self.c, dtype=np.float64), (p,)
-        ).copy()
-        self.phi0 = np.broadcast_to(
-            np.asarray(self.phi0, dtype=np.float64), (p,)
-        ).copy()
-        self.beta = np.broadcast_to(
-            np.asarray(self.beta, dtype=np.float64), (p,)
-        ).copy()
+        for name in ("c", "phi0", "beta"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, np.broadcast_to(value, (p,)).copy())
         self.omega = np.asarray(self.omega, dtype=np.float64)
 
         if not isinstance(self.n, (int, np.integer)) or self.n < 4:
@@ -147,8 +141,7 @@ class DgpSpec:
 
     def with_slopes(self, beta):
         """Copy of the spec with new slope values (scalar broadcasts)."""
-        beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), (self.p,))
-        return replace(self, beta=beta.copy())
+        return replace(self, beta=beta)
 
     def with_sample_size(self, n):
         return replace(self, n=int(n))
@@ -162,6 +155,17 @@ class SimulatedSample:
     y: np.ndarray
     X_lagged: np.ndarray
     u: np.ndarray
+
+
+def _ar1(const, coef, shocks):
+    """Path of ``x_t = const + coef * x_{t-1} + shock_t`` from ``x_0 = 0``,
+    one entry per shock (``x_0`` itself is not included)."""
+    prev = 0.0
+    out = []
+    for v in shocks.tolist():
+        prev = const + coef * prev + v
+        out.append(prev)
+    return np.array(out)
 
 
 def simulate(spec, seed):
@@ -190,38 +194,12 @@ def simulate(spec, seed):
             out.append(e)
         eps = np.array(out)
 
-    if rho == 0.0:
-        u = eps
-    else:
-        prev = 0.0
-        out = []
-        for e in eps.tolist():
-            prev = rho * prev + e
-            out.append(prev)
-        u = np.array(out)
+    u = eps if rho == 0.0 else _ar1(0.0, rho, eps)
 
     ar = spec.ar_coefficients()
-    x_all = np.empty((total + 1, p))
-    x_all[0] = 0.0
-    if p == 1:
-        a0 = float(ar[0])
-        f0 = float(spec.phi0[0])
-        prev = 0.0
-        out = []
-        for v in shocks[:, 1].tolist():
-            prev = f0 + a0 * prev + v
-            out.append(prev)
-        x_all[1:, 0] = out
-    else:
-        a_list = ar.tolist()
-        f_list = spec.phi0.tolist()
-        prev = [0.0] * p
-        rows = shocks[:, 1:].tolist()
-        out = []
-        for row in rows:
-            prev = [f_list[i] + a_list[i] * prev[i] + row[i] for i in range(p)]
-            out.append(prev)
-        x_all[1:] = out
+    x_all = np.zeros((total + 1, p))
+    for i in range(p):
+        x_all[1:, i] = _ar1(float(spec.phi0[i]), float(ar[i]), shocks[:, i + 1])
 
     if not (np.isfinite(x_all).all() and np.isfinite(u).all()):
         raise NumericOverflow("simulated state is not finite; parameters explosive?")

@@ -18,9 +18,9 @@ import numpy as np
 from ._version import __version__
 from .dgp import DgpSpec, preset, simulate
 from .errors import DegenerateVariance, EmptyReport, PlanParseError
-from .randomization import STREAM_LAYOUT, SeedSpec, check_p0
+from .randomization import STREAM_LAYOUT, SeedSpec
 from .regression import RegressionData, Restriction
-from .teststats import StatisticConfig, TestMode, run_test
+from .teststats import StatisticConfig, run_test
 
 # Replications are dispatched in fixed-size chunks so that scheduling (and
 # hence the worker count) cannot influence any per-replication computation.
@@ -82,13 +82,10 @@ class ExperimentPlan:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        for p0 in self.p0_grid:
-            check_p0(p0)
         for n in self.n_grid:
             for p0 in self.p0_grid:
-                cfg = replace(self.cfg_template, p0=p0)
-                if cfg.resolve_m(n) < 1:
-                    raise ValueError(f"cell (n={n}, p0={p0}) resolves to M < 1")
+                # validates p0, and n under a growth rule (which never gives M < 1)
+                replace(self.cfg_template, p0=p0).resolve_m(n)
 
     def cells(self):
         """Deterministic cell enumeration (defines cell ids)."""
@@ -359,21 +356,8 @@ def _statistic_from_dict(d):
     unknown = set(d) - _STAT_KEYS
     if unknown:
         raise PlanParseError(f"statistic: unknown fields {sorted(unknown)}")
-    mode_name = str(d.get("mode", "fixed")).lower()
-    if mode_name in ("fixed", "fixed-m", "fixed-m-chi-square"):
-        mode = TestMode.FIXED_M_CHI_SQUARE
-    elif mode_name in ("growing", "growing-m", "growing-m-normal"):
-        mode = TestMode.GROWING_M_NORMAL
-    else:
-        raise PlanParseError(f"statistic: unknown mode {mode_name!r}")
     try:
-        return StatisticConfig(
-            p0=0.40,  # placeholder; replaced cell by cell from p0_grid
-            mode=mode,
-            m=int(d["m"]) if "m" in d and d["m"] is not None else None,
-            mn_delta=float(d["mn_delta"]) if d.get("mn_delta") is not None else None,
-            alpha=float(d.get("alpha", 0.10)),
-        )
+        return StatisticConfig(**d)  # its p0 is replaced cell by cell from p0_grid
     except Exception as exc:
         raise PlanParseError(f"statistic: {exc}") from None
 

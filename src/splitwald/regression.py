@@ -23,13 +23,11 @@ class RegressionData:
     """Aligned predictand/lagged-predictor sample.
 
     ``X`` holds the already-lagged predictors: row ``t`` is ``x_{t-1}``.
-    Fitted models always contain an intercept; the flag exists so the
-    convention stays explicit in serialized configurations.
+    Fitted models always contain an intercept.
     """
 
     y: np.ndarray
     X: np.ndarray
-    include_intercept: bool = True
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
@@ -56,9 +54,7 @@ class RegressionData:
 
     def design(self):
         """Intercept-augmented design matrix (intercept first)."""
-        if self.include_intercept:
-            return np.column_stack([np.ones(self.n), self.X])
-        return self.X
+        return np.column_stack([np.ones(self.n), self.X])
 
 
 @dataclass
@@ -166,10 +162,7 @@ class DesignFactor:
                 f"restriction acts on {restriction.p} slopes but data has {self.data.p}"
             )
         theta = self.theta_unrestricted()
-        if self.data.include_intercept:
-            Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
-        else:
-            Rt = restriction.R
+        Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
         # A^{-1} Rt' through the triangular factor: two small solves
         ainv_rt = np.linalg.solve(self.rmat, np.linalg.solve(self.rmat.T, Rt.T))
         small = Rt @ ainv_rt

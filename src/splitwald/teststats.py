@@ -46,14 +46,28 @@ class TestMode(Enum):
     GROWING_M_NORMAL = "growing-m"
 
 
+# Accepted spellings of each mode, matched case-insensitively.
+_MODE_NAMES = {
+    "fixed": TestMode.FIXED_M_CHI_SQUARE,
+    "fixed-m": TestMode.FIXED_M_CHI_SQUARE,
+    "fixed-m-chi-square": TestMode.FIXED_M_CHI_SQUARE,
+    "growing": TestMode.GROWING_M_NORMAL,
+    "growing-m": TestMode.GROWING_M_NORMAL,
+    "growing-m-normal": TestMode.GROWING_M_NORMAL,
+}
+
+
 @dataclass(frozen=True)
 class StatisticConfig:
     """Tuning of one test: probability, draw count rule, level, mode.
 
-    Exactly one of ``m`` (explicit draw count) and ``mn_delta`` (growth rule
-    ``floor((n / p0)^delta)``) must be set; when neither is given the fixed
-    default ``m=5`` applies, a draw count that is typically enough for
-    persistent predictors (stationary settings benefit from 10-20).
+    The one place that validates and normalizes user input; the CLI and plan
+    files pass their values through. ``mode`` is a :class:`TestMode` or one
+    of the spellings in ``_MODE_NAMES``. At most one of ``m`` (an integer
+    draw count) and ``mn_delta`` (growth rule ``floor((n / p0)^delta)``) may
+    be set; when neither is given the fixed default ``m=5`` applies, a draw
+    count that is typically enough for persistent predictors (stationary
+    settings benefit from 10-20).
     """
 
     p0: float = 0.40
@@ -63,21 +77,32 @@ class StatisticConfig:
     alpha: float = 0.10
 
     def __post_init__(self):
-        check_p0(self.p0)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.m is not None and self.mn_delta is not None:
-            raise ValueError("set either m or mn_delta, not both")
-        if self.m is None and self.mn_delta is None:
-            object.__setattr__(self, "m", 5)
-        if self.m is not None:
-            if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-                raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-            object.__setattr__(self, "m", int(self.m))
-        if self.mn_delta is not None and not 0.0 < float(self.mn_delta) < 1.0:
-            raise InvalidDelta(
-                f"mn_delta must lie in (0, 1) so that M_n/n -> 0, got {self.mn_delta!r}"
+        p0 = check_p0(self.p0)
+        mode = _MODE_NAMES.get(str(self.mode).lower(), self.mode)
+        if not isinstance(mode, TestMode):
+            raise ValueError(
+                f"unknown mode {self.mode!r}; expected one of {', '.join(_MODE_NAMES)}"
             )
+        alpha = float(self.alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        m, mn_delta = self.m, self.mn_delta
+        if m is not None and mn_delta is not None:
+            raise ValueError("m and mn_delta are mutually exclusive; set one")
+        if mn_delta is None:
+            m = 5 if m is None else m
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+                raise ValueError(f"m must be an integer >= 1, got {m!r}")
+            m = int(m)
+        else:
+            mn_delta = float(mn_delta)
+            if not 0.0 < mn_delta < 1.0:
+                raise InvalidDelta(
+                    f"mn_delta must lie in (0, 1) so that M_n/n -> 0, got {mn_delta!r}"
+                )
+        fields = dict(p0=p0, mode=mode, m=m, mn_delta=mn_delta, alpha=alpha)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def growing(cls, mn_delta=1.0 / 3.0, p0=0.40, alpha=0.10):

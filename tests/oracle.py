@@ -1,14 +1,26 @@
-"""Two-pass reference for the split-sample statistics.
+"""Slow references that tests compare the library against.
 
 ``compute_d_sequence`` materializes the contrast sequence of one Bernoulli
 draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
-(:func:`splitwald.draw_statistics`); tests compare it against this oracle.
+(:func:`splitwald.draw_statistics`).
+
+``simulate_oracle`` runs the data-generating recursions one time step at a
+time, all predictors together, as :func:`splitwald.simulate` did before it
+ran one AR recursion per series.
 """
+
+import math
 
 import numpy as np
 
-from splitwald import DegenerateVariance, DrawStat, LengthMismatch, WeightSequence
+from splitwald import (
+    DegenerateVariance,
+    DrawStat,
+    LengthMismatch,
+    SimulatedSample,
+    WeightSequence,
+)
 
 
 def compute_d_sequence(u0_sq, u1_sq, sigma2_1, weights):
@@ -59,3 +71,36 @@ def draw_statistics_oracle(u0_sq, u1_sq, sigma2_1, b, p0=0.40):
         except DegenerateVariance as exc:
             raise DegenerateVariance(str(exc), draw_index=j) from exc
     return shots
+
+
+def simulate_oracle(spec, seed):
+    """Row-wise reference for :func:`splitwald.simulate` (no overflow guard)."""
+    p = spec.p
+    total = spec.burn_in + spec.n
+    shocks = seed.generator().standard_normal((total, p + 1)) @ spec._lower.T
+
+    eps = []
+    e2 = spec.theta0 / (1.0 - spec.theta1)  # stationary ARCH variance start
+    for z in shocks[:, 0].tolist():
+        e = z * math.sqrt(spec.theta0 + spec.theta1 * e2)
+        e2 = e * e
+        eps.append(e)
+
+    u = []
+    prev = 0.0
+    for e in eps:
+        prev = spec.rho * prev + e
+        u.append(prev)
+
+    a_list = spec.ar_coefficients().tolist()
+    f_list = spec.phi0.tolist()
+    x_rows = [[0.0] * p]
+    for row in shocks[:, 1:].tolist():
+        prev_x = x_rows[-1]
+        x_rows.append([f_list[i] + a_list[i] * prev_x[i] + row[i] for i in range(p)])
+
+    b = spec.burn_in
+    X_lagged = np.array(x_rows)[b : b + spec.n]
+    u_keep = np.array(u)[b : b + spec.n]
+    y = spec.mu + X_lagged @ spec.beta + u_keep
+    return SimulatedSample(y=y, X_lagged=X_lagged, u=u_keep)

@@ -94,7 +94,8 @@ class TestTestCommand:
              "--mn-delta", "0.5"]
         )
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:ValueError:") and "mutually exclusive" in err
 
     def test_unknown_flag_is_an_error(self, sample_csv):
         with pytest.raises(SystemExit) as exc:
@@ -207,6 +208,15 @@ class TestMisc:
         assert rows[0] == "beta,rejection_rate,mc_se"
         betas = [float(r.split(",")[0]) for r in rows[1:]]
         assert betas == sorted(betas) == [0.0, 0.2, 0.4]
+
+    def test_power_mutually_exclusive_m_flags(self, capsys):
+        code = run_cli(
+            ["power", "--preset", "DGP1a", "--n", "150", "--alpha1", "0.0",
+             "--m", "3", "--mn-delta", "0.5", "--reps", "100"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:ValueError:") and "mutually exclusive" in err
 
     def test_presets_listing(self, capsys):
         assert run_cli(["presets"]) == 0

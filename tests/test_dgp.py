@@ -11,7 +11,9 @@ from splitwald import (
     preset,
     simulate,
 )
-from splitwald.dgp import OMEGA_THREE_PREDICTOR
+from splitwald.dgp import OMEGA_THREE_PREDICTOR, PRESET_NAMES
+
+from oracle import simulate_oracle
 
 
 def innovations(sample, spec):
@@ -177,6 +179,18 @@ class TestSimulate:
         )
         with pytest.raises(NumericOverflow):
             simulate(spec, SeedSpec(9))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_row_wise_oracle(self, name):
+        # phi0 != 0 exercises the drift; DGP1c and DGP2c_ii have rho != 0
+        kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
+        spec = preset(name, 300, phi0=0.25, beta=0.1, burn_in=50, **kwargs)
+        for r in range(20):
+            got = simulate(spec, SeedSpec(11, r))
+            ref = simulate_oracle(spec, SeedSpec(11, r))
+            assert np.array_equal(got.y, ref.y)
+            assert np.array_equal(got.X_lagged, ref.X_lagged)
+            assert np.array_equal(got.u, ref.u)
 
     def test_sample_shapes(self):
         spec = preset("DGP1a", 123, alpha1=0.5)

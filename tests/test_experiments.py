@@ -9,6 +9,7 @@ from splitwald import (
     PlanParseError,
     PresetRef,
     StatisticConfig,
+    TestMode,
     export_report,
     load_plan,
     plan_from_dict,
@@ -211,6 +212,21 @@ class TestPlanFiles:
         doc["statistic"]["mode"] = "sideways"
         with pytest.raises(PlanParseError, match="mode"):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize("m", [3.7, True, "5"])
+    def test_non_integral_m_rejected(self, m):
+        # no coercion: 3.7 would run with M=3 and true with M=1
+        doc = self.valid_doc()
+        doc["statistic"]["m"] = m
+        with pytest.raises(PlanParseError, match="m must be an integer"):
+            plan_from_dict(doc)
+
+    def test_statistic_defaults_to_fixed_m5(self):
+        doc = self.valid_doc()
+        doc["statistic"] = {"alpha": "0.05"}
+        cfg = plan_from_dict(doc).cfg_template
+        assert cfg.mode is TestMode.FIXED_M_CHI_SQUARE
+        assert (cfg.m, cfg.mn_delta, cfg.alpha) == (5, None, 0.05)
 
     def test_custom_spec_plan(self):
         doc = self.valid_doc()

@@ -109,16 +109,6 @@ class TestRestricted:
         refit = fit_unrestricted(RegressionData(y, s))
         np.testing.assert_allclose(fit.residuals, refit.residuals, atol=1e-10)
 
-    def test_without_intercept_matches_drop_column_refit(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((40, 2))
-        y = X @ np.array([0.8, -0.2]) + rng.standard_normal(40)
-        data = RegressionData(y, X, include_intercept=False)
-        fit = fit_restricted(data, Restriction(np.array([[0.0, 1.0]])))
-        refit = fit_unrestricted(RegressionData(y, X[:, :1], include_intercept=False))
-        assert fit.theta_hat[1] == pytest.approx(0.0, abs=1e-10)
-        np.testing.assert_allclose(fit.residuals, refit.residuals, atol=1e-10)
-
     def test_rank_deficient_restriction_rejected(self):
         with pytest.raises(SingularRestriction):
             Restriction(np.array([[1.0, 1.0], [2.0, 2.0]]))

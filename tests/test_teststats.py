@@ -67,6 +67,56 @@ class TestConfig:
         with pytest.raises(ValueError):
             StatisticConfig(alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "spelling, mode",
+        [
+            ("fixed", TestMode.FIXED_M_CHI_SQUARE),
+            ("fixed-m", TestMode.FIXED_M_CHI_SQUARE),
+            ("fixed-m-chi-square", TestMode.FIXED_M_CHI_SQUARE),
+            ("growing", TestMode.GROWING_M_NORMAL),
+            ("growing-m", TestMode.GROWING_M_NORMAL),
+            ("growing-m-normal", TestMode.GROWING_M_NORMAL),
+        ],
+    )
+    def test_mode_spellings(self, spelling, mode):
+        for text in (spelling, spelling.upper()):
+            assert StatisticConfig(mode=text).mode is mode
+        assert StatisticConfig(mode=mode).mode is mode
+
+    @pytest.mark.parametrize("mode", ["sideways", "", None, 1])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            StatisticConfig(mode=mode)
+
+    def test_string_mode_runs_like_enum(self):
+        # A random walk with an unrelated predictor: under the fixed-M
+        # chi-square null a mis-read mode would give the normal p-value.
+        gen = SeedSpec(3).generator()
+        y = gen.standard_normal(300).cumsum()
+        data = RegressionData(y, gen.standard_normal(300))
+        restriction = Restriction.all_slopes(1)
+        cfg = StatisticConfig(mode=TestMode.FIXED_M_CHI_SQUARE)
+        by_enum = run_test(data, restriction, cfg, SeedSpec(5))
+        for spelling in ("fixed", "fixed-m"):
+            cfg = StatisticConfig(mode=spelling)
+            out = run_test(data, restriction, cfg, SeedSpec(5))
+            assert out.p_value == by_enum.p_value
+            assert out.as_dict() == by_enum.as_dict()
+
+    @pytest.mark.parametrize("m", [3.7, 3.0, True, False, "5", 0])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            StatisticConfig(m=m)
+
+    def test_numpy_integer_m_normalized(self):
+        cfg = StatisticConfig(m=np.int64(7))
+        assert cfg.m == 7 and type(cfg.m) is int
+
+    def test_alpha_and_mn_delta_coerced_to_float(self):
+        cfg = StatisticConfig(mode="growing", mn_delta="0.5", alpha="0.05")
+        assert cfg.mn_delta == 0.5 and cfg.alpha == 0.05
+        assert cfg.m is None
+
 
 class TestDSequence:
     def test_vanishes_when_everything_matches(self):
