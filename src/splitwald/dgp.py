@@ -15,11 +15,11 @@ suite.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NumericOverflow, UnknownPreset
+from .errors import NotPositiveDefinite, NumericOverflow, UnknownPreset, check_integer
 
 OVERFLOW_GUARD = 1e12
 
@@ -100,12 +100,11 @@ class DgpSpec:
             value = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, np.broadcast_to(value, (p,)).copy())
         self.omega = np.asarray(self.omega, dtype=np.float64)
+        for name in ("rho", "theta0", "theta1", "mu"):
+            setattr(self, name, float(getattr(self, name)))
 
-        if not isinstance(self.n, (int, np.integer)) or self.n < 4:
-            raise ValueError(f"n must be an integer >= 4, got {self.n!r}")
-        self.n = int(self.n)
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        self.n = check_integer("n", self.n, 4)
+        self.burn_in = check_integer("burn_in", self.burn_in, 0)
         if self.omega.shape != (p + 1, p + 1):
             raise ValueError(
                 f"omega must be {(p + 1, p + 1)} for {p} predictors, "
@@ -138,13 +137,6 @@ class DgpSpec:
     def ar_coefficients(self):
         """Per-predictor AR coefficient ``1 - c_i / n^{alpha_i}``."""
         return 1.0 - self.c / float(self.n) ** self.alpha
-
-    def with_slopes(self, beta):
-        """Copy of the spec with new slope values (scalar broadcasts)."""
-        return replace(self, beta=beta)
-
-    def with_sample_size(self, n):
-        return replace(self, n=int(n))
 
 
 @dataclass

@@ -12,7 +12,7 @@ in the test suite.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidProbability, NonConvergence
+from .errors import InvalidProbability, NonConvergence, check_integer
 
 _EPS = 1e-16
 _MAX_SERIES_ITER = 10**6
@@ -28,8 +28,7 @@ class ChiSquareParams:
     ncp: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.df, int) or self.df < 1:
-            raise ValueError(f"df must be a positive integer, got {self.df!r}")
+        object.__setattr__(self, "df", check_integer("df", self.df, 1))
         if not math.isfinite(self.ncp) or self.ncp < 0:
             raise ValueError(f"ncp must be finite and >= 0, got {self.ncp!r}")
 

@@ -1,9 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer check.
 
 Every error raised by the library derives from :class:`SplitwaldError` so
 callers (and the CLI) can catch one base class and map the concrete type to
 a machine-readable code via ``type(exc).__name__``.
 """
+
+import numbers
+
+
+def check_integer(name, value, low):
+    """``value`` as an ``int`` of at least ``low``.
+
+    Python and numpy integers pass; ``bool``, floats and strings raise
+    ``ValueError`` naming ``name``, so no count is silently rounded.
+    """
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class SplitwaldError(Exception):

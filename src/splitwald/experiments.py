@@ -11,13 +11,14 @@ are bit-identical for a fixed master seed regardless of the worker count.
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._version import __version__
 from .dgp import DgpSpec, preset, simulate
-from .errors import DegenerateVariance, EmptyReport, PlanParseError
+from .errors import DegenerateVariance, EmptyReport, PlanParseError, check_integer
 from .randomization import STREAM_LAYOUT, SeedSpec
 from .regression import RegressionData, Restriction
 from .teststats import StatisticConfig, run_test
@@ -41,23 +42,36 @@ class PresetRef:
     burn_in: int = 200
 
     def build(self, n, beta):
-        kwargs = {"phi0": self.phi0, "beta": beta, "burn_in": self.burn_in}
-        if self.alpha1 is not None:
-            kwargs["alpha1"] = self.alpha1
-        if self.sigma_uv is not None:
-            kwargs["sigma_uv"] = self.sigma_uv
-        return preset(self.name, n, **kwargs)
+        return preset(
+            self.name,
+            n,
+            alpha1=self.alpha1,
+            sigma_uv=self.sigma_uv,
+            phi0=self.phi0,
+            beta=beta,
+            burn_in=self.burn_in,
+        )
 
 
-def _build_spec(dgp, n, beta):
-    if isinstance(dgp, PresetRef):
-        return dgp.build(n, beta)
-    return dgp.with_sample_size(n).with_slopes(beta)
+def _grid(name, values, entry):
+    """Nonempty tuple of ``entry(v)`` over a list-like grid."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    grid = tuple(entry(v) for v in values)
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    return grid
 
 
 @dataclass
 class ExperimentPlan:
-    """Grid of simulation cells plus the statistic template and budget."""
+    """Grid of simulation cells plus the statistic template and budget.
+
+    Construction is the one place that validates a plan: it checks the
+    integer fields and builds every cell once (:meth:`build_cell`).
+    ``seed_stream`` is the ``stream_id`` of the plan's :class:`SeedSpec`;
+    ``restrict`` is ``"all"`` or a sequence of 0-based slope indices.
+    """
 
     dgp: object  # PresetRef or DgpSpec template (its n/beta are overridden)
     n_grid: tuple
@@ -68,24 +82,36 @@ class ExperimentPlan:
     beta_grid: tuple = (0.0,)
     workers: int = 1
     seed_stream: int = 0
-    restrict: object = "all"  # "all" or a sequence of slope indices
+    restrict: object = "all"
 
     def __post_init__(self):
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.p0_grid = tuple(float(p) for p in self.p0_grid)
-        self.beta_grid = tuple(float(b) for b in self.beta_grid)
-        if not self.n_grid or not self.p0_grid or not self.beta_grid:
-            raise ValueError("n_grid, p0_grid and beta_grid must be nonempty")
-        if self.replications < 100:
-            raise ValueError(
-                f"replications must be >= 100, got {self.replications!r}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        for n in self.n_grid:
-            for p0 in self.p0_grid:
-                # validates p0, and n under a growth rule (which never gives M < 1)
-                replace(self.cfg_template, p0=p0).resolve_m(n)
+        self.n_grid = _grid(
+            "n_grid", self.n_grid, lambda n: check_integer("n_grid entry", n, 4)
+        )
+        self.p0_grid = _grid("p0_grid", self.p0_grid, float)
+        self.beta_grid = _grid("beta_grid", self.beta_grid, float)
+        self.replications = check_integer("replications", self.replications, 100)
+        self.workers = check_integer("workers", self.workers, 1)
+        SeedSpec(self.master_seed, self.seed_stream)
+        if self.restrict in ("all", None):
+            self.restrict = "all"
+        else:
+            self.restrict = tuple(self.restrict)
+        for _, n, p0, beta in self.cells():
+            self.build_cell(n, p0, beta)
+
+    def build_cell(self, n, p0, beta):
+        """Scenario, statistic config and restriction of one cell."""
+        if isinstance(self.dgp, PresetRef):
+            spec = self.dgp.build(n, beta)
+        else:
+            spec = replace(self.dgp, n=n, beta=beta)
+        cfg = replace(self.cfg_template, p0=p0)
+        if self.restrict == "all":
+            restriction = Restriction.all_slopes(spec.p)
+        else:
+            restriction = Restriction.subset(self.restrict, spec.p)
+        return spec, cfg, restriction
 
     def cells(self):
         """Deterministic cell enumeration (defines cell ids)."""
@@ -139,21 +165,13 @@ class ExperimentReport:
         return any(cell.flagged for cell in self.cells)
 
 
-def _restriction_for(restrict, p):
-    if restrict == "all" or restrict is None:
-        return Restriction.all_slopes(p)
-    return Restriction.subset(restrict, p)
-
-
 def _run_chunk(payload):
     """Count rejections over one fixed chunk of replications of one cell."""
-    spec, cfg, restrict, master_seed, seed_stream, cell_id, start, stop = payload
-    restriction = _restriction_for(restrict, spec.p)
-    base = SeedSpec(master_seed, seed_stream)
+    spec, cfg, restriction, seed, cell_id, start, stop = payload
     rejected = 0
     degenerate = 0
     for r in range(start, stop):
-        rep_seed = base.child(cell_id, r)
+        rep_seed = seed.child(cell_id, r)
         sample = simulate(spec, rep_seed.child(0))
         data = RegressionData(sample.y, sample.X_lagged)
         try:
@@ -163,7 +181,7 @@ def _run_chunk(payload):
             continue
         if outcome.reject:
             rejected += 1
-    return cell_id, rejected, degenerate, stop - start
+    return cell_id, rejected, degenerate
 
 
 def run_plan(plan, progress=None):
@@ -174,35 +192,22 @@ def run_plan(plan, progress=None):
     dispatched in fixed chunks and merged by exact integer counting.
     """
     started = time.perf_counter()
+    seed = SeedSpec(plan.master_seed, plan.seed_stream)
     cells = plan.cells()
+    specs = []
     tasks = []
-    cell_info = {}
     for cid, n, p0, beta in cells:
-        spec = _build_spec(plan.dgp, n, beta)
-        cfg = replace(plan.cfg_template, p0=p0)
-        cell_info[cid] = (spec, cfg, n, p0, beta)
+        spec, cfg, restriction = plan.build_cell(n, p0, beta)
+        specs.append(spec)
         for start in range(0, plan.replications, CHUNK):
             stop = min(start + CHUNK, plan.replications)
-            tasks.append(
-                (
-                    spec,
-                    cfg,
-                    plan.restrict,
-                    plan.master_seed,
-                    plan.seed_stream,
-                    cid,
-                    start,
-                    stop,
-                )
-            )
-
-    counts = {cid: [0, 0, 0] for cid, *_ in cells}  # rejected, degenerate, done
+            tasks.append((spec, cfg, restriction, seed, cid, start, stop))
+    counts = [[0, 0] for _ in cells]  # rejected, degenerate; indexed by cell id
 
     def _absorb(result, done_so_far):
-        cid, rejected, degenerate, done = result
+        cid, rejected, degenerate = result
         counts[cid][0] += rejected
         counts[cid][1] += degenerate
-        counts[cid][2] += done
         if progress is not None:
             progress(done_so_far, len(tasks))
 
@@ -215,10 +220,8 @@ def run_plan(plan, progress=None):
                 _absorb(result, i)
 
     out = []
-    for cid, n, p0, beta in cells:
-        spec, cfg, *_ = cell_info[cid]
-        rejected, degenerate, done = counts[cid]
-        effective = done - degenerate
+    for (_, n, p0, beta), spec, (rejected, degenerate) in zip(cells, specs, counts):
+        effective = plan.replications - degenerate
         rate = rejected / effective if effective else float("nan")
         mc_se = (
             float(np.sqrt(rate * (1.0 - rate) / effective)) if effective else float("nan")
@@ -234,7 +237,7 @@ def run_plan(plan, progress=None):
                 mc_se=mc_se,
                 replications=effective,
                 degenerate=degenerate,
-                flagged=degenerate > DEGENERATE_CELL_LIMIT * done,
+                flagged=degenerate > DEGENERATE_CELL_LIMIT * plan.replications,
             )
         )
 
@@ -254,18 +257,13 @@ def power_curve_empirical(dgp, beta_grid, cfg, reps, seed, workers=1):
     (so the parallelism and seeding rules are identical to size studies)
     and reports one rejection rate per slope, ordered by the input grid.
     """
-    beta_grid = [float(b) for b in beta_grid]
-    if len(beta_grid) == 0:
-        raise ValueError("beta_grid must be nonempty")
-    if reps < 100:
-        raise ValueError(f"need at least 100 replications, got {reps!r}")
     plan = ExperimentPlan(
         dgp=dgp,
         n_grid=(dgp.n,),
         p0_grid=(cfg.p0,),
         cfg_template=cfg,
-        beta_grid=tuple(beta_grid),
-        replications=int(reps),
+        beta_grid=beta_grid,
+        replications=reps,
         master_seed=seed.master_seed,
         seed_stream=seed.stream_id,
         workers=workers,
@@ -314,130 +312,69 @@ def export_report(report, fmt="csv"):
 # Plan files
 
 
-_PLAN_KEYS = {
-    "dgp",
-    "n_grid",
-    "p0_grid",
-    "beta_grid",
-    "statistic",
-    "replications",
-    "master_seed",
-    "workers",
-    "restrict",
-    "seed_stream",
-}
-_STAT_KEYS = {"mode", "m", "mn_delta", "alpha"}
-_PRESET_KEYS = {"preset", "alpha1", "sigma_uv", "phi0", "burn_in"}
-_SPEC_KEYS = {
-    "alpha",
-    "c",
-    "phi0",
-    "omega",
-    "rho",
-    "theta0",
-    "theta1",
-    "mu",
-    "burn_in",
-    "label",
-}
+def _init_fields(cls, *drop):
+    return {f.name for f in fields(cls) if f.init} - set(drop)
 
 
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise PlanParseError(f"{where}: missing required field '{key}'")
-    value = mapping[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise PlanParseError(f"{where}: field '{key}': {exc}") from None
+# Plan-file keys are the constructors' fields, except that "statistic" is the
+# plan's cfg_template and "preset" is PresetRef.name; each cell sets n, beta
+# and p0 itself.
+_PLAN_KEYS = _init_fields(ExperimentPlan, "cfg_template") | {"statistic"}
+_STAT_KEYS = _init_fields(StatisticConfig, "p0")
+_PRESET_KEYS = _init_fields(PresetRef, "name") | {"preset"}
+_SPEC_KEYS = _init_fields(DgpSpec, "n", "beta")
+
+
+def _check_keys(where, d, allowed):
+    if not isinstance(d, dict):
+        raise PlanParseError(f"{where}: expected an object")
+    unknown = set(d) - allowed
+    if unknown:
+        raise PlanParseError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 def _statistic_from_dict(d):
-    unknown = set(d) - _STAT_KEYS
-    if unknown:
-        raise PlanParseError(f"statistic: unknown fields {sorted(unknown)}")
+    _check_keys("statistic", d, _STAT_KEYS)
     try:
-        return StatisticConfig(**d)  # its p0 is replaced cell by cell from p0_grid
+        return StatisticConfig(**d)
     except Exception as exc:
         raise PlanParseError(f"statistic: {exc}") from None
 
 
 def _dgp_from_dict(d):
-    if not isinstance(d, dict):
-        raise PlanParseError("dgp: expected an object")
-    if "preset" in d:
-        unknown = set(d) - _PRESET_KEYS
-        if unknown:
-            raise PlanParseError(f"dgp: unknown fields {sorted(unknown)}")
-        return PresetRef(
-            name=str(d["preset"]),
-            alpha1=float(d["alpha1"]) if d.get("alpha1") is not None else None,
-            sigma_uv=float(d["sigma_uv"]) if d.get("sigma_uv") is not None else None,
-            phi0=float(d.get("phi0", 0.0)),
-            burn_in=int(d.get("burn_in", 200)),
-        )
-    if "spec" in d:
-        spec_dict = d["spec"]
+    if isinstance(d, dict) and "spec" in d:
         if set(d) - {"spec"}:
             raise PlanParseError("dgp: 'spec' cannot be combined with other fields")
-        unknown = set(spec_dict) - _SPEC_KEYS
-        if unknown:
-            raise PlanParseError(f"dgp.spec: unknown fields {sorted(unknown)}")
+        _check_keys("dgp.spec", d["spec"], _SPEC_KEYS)
         try:
-            return DgpSpec(
-                n=8,  # placeholder; overridden per cell from n_grid
-                alpha=spec_dict["alpha"],
-                c=spec_dict.get("c", 1.0),
-                phi0=spec_dict.get("phi0", 0.0),
-                beta=0.0,
-                omega=spec_dict["omega"],
-                rho=float(spec_dict.get("rho", 0.0)),
-                theta0=float(spec_dict.get("theta0", 1.0)),
-                theta1=float(spec_dict.get("theta1", 0.0)),
-                mu=float(spec_dict.get("mu", 0.0)),
-                burn_in=int(spec_dict.get("burn_in", 200)),
-                label=str(spec_dict.get("label", "custom")),
-            )
-        except KeyError as exc:
-            raise PlanParseError(f"dgp.spec: missing required field {exc}") from None
+            # every cell replaces the placeholder n and beta
+            return DgpSpec(**{"n": 8, "beta": 0.0, "c": 1.0, "phi0": 0.0, **d["spec"]})
         except Exception as exc:
             raise PlanParseError(f"dgp.spec: {exc}") from None
-    raise PlanParseError("dgp: expected either 'preset' or 'spec'")
+    _check_keys("dgp", d, _PRESET_KEYS)
+    if "preset" not in d:
+        raise PlanParseError("dgp: expected either 'preset' or 'spec'")
+    return PresetRef(d["preset"], **{k: v for k, v in d.items() if k != "preset"})
 
 
 def plan_from_dict(d, workers=None):
-    """Build a validated plan from a parsed key-value document."""
-    if not isinstance(d, dict):
-        raise PlanParseError("plan: expected a top-level object")
-    unknown = set(d) - _PLAN_KEYS
-    if unknown:
-        raise PlanParseError(f"plan: unknown fields {sorted(unknown)}")
-    dgp = _dgp_from_dict(_require(d, "dgp", dict, "plan"))
-    cfg = _statistic_from_dict(d.get("statistic", {}))
-    restrict = d.get("restrict", "all")
-    if restrict != "all" and restrict is not None:
-        if not isinstance(restrict, list) or not all(
-            isinstance(i, int) for i in restrict
-        ):
-            raise PlanParseError(
-                "plan: 'restrict' must be \"all\" or a list of slope indices"
-            )
-        restrict = tuple(restrict)
+    """Build a plan from a parsed key-value document.
+
+    Fields pass through to the constructors unchanged, and
+    :class:`ExperimentPlan` validates them; every error is raised as a
+    :class:`PlanParseError`.
+    """
+    _check_keys("plan", d, _PLAN_KEYS)
+    for key in ("dgp", "n_grid", "p0_grid", "replications", "master_seed"):
+        if key not in d:
+            raise PlanParseError(f"plan: missing required field '{key}'")
+    kwargs = {key: value for key, value in d.items() if key != "statistic"}
+    kwargs["dgp"] = _dgp_from_dict(d["dgp"])
+    kwargs["cfg_template"] = _statistic_from_dict(d.get("statistic", {}))
+    if workers is not None:
+        kwargs["workers"] = workers
     try:
-        return ExperimentPlan(
-            dgp=dgp,
-            n_grid=tuple(_require(d, "n_grid", list, "plan")),
-            p0_grid=tuple(_require(d, "p0_grid", list, "plan")),
-            cfg_template=cfg,
-            beta_grid=tuple(d.get("beta_grid", [0.0])),
-            replications=_require(d, "replications", int, "plan"),
-            master_seed=_require(d, "master_seed", int, "plan"),
-            workers=int(workers if workers is not None else d.get("workers", 1)),
-            seed_stream=int(d.get("seed_stream", 0)),
-            restrict=restrict,
-        )
-    except PlanParseError:
-        raise
+        return ExperimentPlan(**kwargs)
     except Exception as exc:
         raise PlanParseError(f"plan: {exc}") from None
 

@@ -78,7 +78,11 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < _U64:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or not 0 <= int(value) < _U64
+            ):
                 raise ValueError(
                     f"{name} must be an unsigned 64-bit integer, got {value!r}"
                 )

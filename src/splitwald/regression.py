@@ -95,8 +95,15 @@ class Restriction:
 
     @classmethod
     def subset(cls, indices, p):
-        """Zero restrictions on the selected slope coordinates."""
+        """Zero restrictions on the selected 0-based slope coordinates."""
         indices = list(indices)
+        for j in indices:
+            integral = isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+            if not (integral and 0 <= j < p):
+                raise SingularRestriction(
+                    f"restricted slopes must be integer indices in 0..{p - 1}, "
+                    f"got {indices!r}"
+                )
         R = np.zeros((len(indices), p))
         for row, j in enumerate(indices):
             R[row, j] = 1.0

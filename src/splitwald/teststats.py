@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import ChiSquareParams, chisq_sf, normal_sf
-from .errors import DegenerateVariance, InvalidDelta, LengthMismatch
+from .errors import DegenerateVariance, InvalidDelta, LengthMismatch, check_integer
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
 from .regression import DesignFactor
 from .theory import mn_rule
@@ -90,10 +90,7 @@ class StatisticConfig:
         if m is not None and mn_delta is not None:
             raise ValueError("m and mn_delta are mutually exclusive; set one")
         if mn_delta is None:
-            m = 5 if m is None else m
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-                raise ValueError(f"m must be an integer >= 1, got {m!r}")
-            m = int(m)
+            m = check_integer("m", 5 if m is None else m, 1)
         else:
             mn_delta = float(mn_delta)
             if not 0.0 < mn_delta < 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ChiSquareParams, chisq_cdf, chisq_quantile
-from .errors import InvalidDelta, InvalidKurtosis, InvalidP0
+from .errors import InvalidDelta, InvalidKurtosis, InvalidP0, check_integer
 from .randomization import check_p0
 
 
@@ -158,8 +158,7 @@ def asymptotic_power(ncp, m, alpha):
 
 def mn_rule(n, p0, delta):
     """Draw-count growth rule ``floor((n / p0)^delta)``, clamped at 1."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    check_integer("n", n, 2)
     p0 = check_p0(p0)
     delta = float(delta)
     if not 0.0 < delta < 1.0:

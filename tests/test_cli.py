@@ -143,6 +143,18 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR:PlanParseError:")
 
+    def test_out_of_range_restrict_exit_code(self, tmp_path, capsys):
+        plan = tmp_path / "bad.plan"
+        doc = self.plan_doc()
+        doc["dgp"] = {"preset": "DGP2a"}
+        doc["restrict"] = [5]
+        plan.write_text(json.dumps(doc))
+        code = run_cli(["simulate", plan, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        # one machine-parsable line, no traceback
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:PlanParseError:")
+
     def test_bundled_plan_parses(self, tmp_path):
         from importlib import resources
 

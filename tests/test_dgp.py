@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ class TestSimulate:
         assert s.u.var() == pytest.approx(2.5 / (0.75 * (1 - 0.25**2)), rel=0.05)
 
     def test_construction_identity(self):
-        spec = preset("DGP2b", 300).with_slopes([0.2, -0.1, 0.05])
+        spec = replace(preset("DGP2b", 300), beta=[0.2, -0.1, 0.05])
         spec.mu = 0.7
         s = simulate(spec, SeedSpec(4))
         np.testing.assert_array_equal(

@@ -11,6 +11,7 @@ from mcutil import (
 
 from splitwald import (
     ChiSquareParams,
+    asymptotic_power,
     InvalidP0,
     InvalidProbability,
     SeedSpec,
@@ -165,6 +166,13 @@ class TestNoncentral:
             ChiSquareParams(2, -1.0)
         with pytest.raises(ValueError):
             ChiSquareParams(2, float("inf"))
+
+    def test_draw_count_types(self):
+        # numpy integers are draw counts; a bool is not M=1
+        assert asymptotic_power(2.0, np.int64(5), 0.1) == asymptotic_power(2.0, 5, 0.1)
+        assert type(ChiSquareParams(np.int64(5)).df) is int
+        with pytest.raises(ValueError, match="df"):
+            asymptotic_power(2.0, True, 0.1)
 
 
 class TestQuantile:

@@ -73,6 +73,15 @@ class TestRunPlan:
         r2 = run_plan(tiny_plan(workers=2, n_grid=(120, 150)))
         assert export_report(r1, "csv") == export_report(r2, "csv")
 
+    def test_worker_count_does_not_change_bytes_with_subset_and_stream(self):
+        # each chunk carries a built Restriction and SeedSpec to the workers
+        over = dict(
+            dgp=PresetRef("DGP2a"), n_grid=(60, 80), seed_stream=3, restrict=(0, 2)
+        )
+        r1 = run_plan(tiny_plan(workers=1, **over))
+        r2 = run_plan(tiny_plan(workers=2, **over))
+        assert export_report(r1, "csv") == export_report(r2, "csv")
+
     def test_progress_callback(self):
         seen = []
         run_plan(tiny_plan(), progress=lambda done, total: seen.append((done, total)))
@@ -220,6 +229,38 @@ class TestPlanFiles:
         doc["statistic"]["m"] = m
         with pytest.raises(PlanParseError, match="m must be an integer"):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "override, field_name",
+        [
+            # accepted before through int() truncation or bool-as-int
+            ({"n_grid": [120.7]}, "n_grid"),
+            ({"n_grid": "500"}, "n_grid"),
+            ({"replications": 150.9}, "replications"),
+            ({"master_seed": 5.5}, "master_seed"),
+            ({"master_seed": True}, "master_seed"),
+            ({"workers": True}, "workers"),
+            # accepted before, failing only once the plan ran
+            ({"dgp": {"preset": "DGP2a", "burn_in": 50.9}}, "burn_in"),
+            ({"dgp": {"preset": "DGP2a", "burn_in": -3}}, "burn_in"),
+            ({"dgp": {"preset": "DGP2a"}, "restrict": [5]}, "restrict"),
+            ({"dgp": {"preset": "DGP2a"}, "restrict": [-1]}, "restrict"),
+            ({"dgp": {"preset": "DGP2a"}, "restrict": [True]}, "restrict"),
+            ({"dgp": {"preset": "DGP9"}}, "preset"),
+            ({"dgp": {"preset": "DGP1a"}}, "alpha1"),
+            # the plan's seed_stream is the stream_id of its SeedSpec
+            ({"seed_stream": -1}, "stream_id"),
+            # raised TypeError, not PlanParseError, before
+            ({"statistic": None}, "statistic"),
+            ({"dgp": {"spec": 5}}, "dgp.spec"),
+            # set per cell from p0_grid and beta_grid, so not plan-file keys
+            ({"statistic": {"p0": 0.4}}, "p0"),
+            ({"dgp": {"preset": "DGP2a", "beta": 0.1}}, "beta"),
+        ],
+    )
+    def test_malformed_field_rejected_at_parse(self, override, field_name):
+        with pytest.raises(PlanParseError, match=field_name):
+            plan_from_dict({**self.valid_doc(), **override})
 
     def test_statistic_defaults_to_fixed_m5(self):
         doc = self.valid_doc()

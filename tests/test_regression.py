@@ -113,6 +113,12 @@ class TestRestricted:
         with pytest.raises(SingularRestriction):
             Restriction(np.array([[1.0, 1.0], [2.0, 2.0]]))
 
+    @pytest.mark.parametrize("indices", [[0, -1], [3], [True]])
+    def test_subset_index_out_of_range_rejected(self, indices):
+        # -1 would otherwise restrict the last slope
+        with pytest.raises(SingularRestriction, match="0..2"):
+            Restriction.subset(indices, 3)
+
     def test_wrong_width(self):
         data = RegressionData(np.arange(10.0), np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(SingularRestriction):
