@@ -4,7 +4,14 @@ plus the benchmark data-generating processes and a reproducible Monte Carlo
 harness."""
 
 from ._version import __version__
-from .dgp import DgpSpec, SimulatedSample, cholesky_lower, preset, simulate
+from .dgp import (
+    DgpSpec,
+    SimulatedSample,
+    cholesky_lower,
+    preset,
+    simulate,
+    simulate_many,
+)
 from .distributions import (
     ChiSquareParams,
     chisq_cdf,

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and its integer check.
+"""Exception types shared across the package, and its number checks.
 
 Every error raised by the library derives from :class:`SplitwaldError` so
 callers (and the CLI) can catch one base class and map the concrete type to
 a machine-readable code via ``type(exc).__name__``.
 """
 
+import math
 import numbers
 
 
@@ -18,6 +19,19 @@ def check_integer(name, value, low):
     if not integral or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(name, value):
+    """``value`` as a finite ``float``.
+
+    Python and numpy integers and floats pass; ``bool``, strings and
+    non-finite values raise ``ValueError`` naming ``name``, so no flag or
+    text is silently read as a number.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 class SplitwaldError(Exception):
@@ -77,7 +91,16 @@ class NotPositiveDefinite(SplitwaldError):
 
 
 class NumericOverflow(SplitwaldError):
-    """Simulated state exceeded the overflow guard (explosive parameters)."""
+    """Simulated state exceeded the overflow guard (explosive parameters).
+
+    ``index`` is the 0-based replication: its position in the batch of
+    seeds from :func:`splitwald.simulate_many`, and its index within its
+    plan cell when raised by :func:`splitwald.run_plan`.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class UnknownPreset(SplitwaldError):

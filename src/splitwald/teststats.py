@@ -31,7 +31,13 @@ from enum import Enum
 import numpy as np
 
 from .distributions import ChiSquareParams, chisq_sf, normal_sf
-from .errors import DegenerateVariance, InvalidDelta, LengthMismatch, check_integer
+from .errors import (
+    DegenerateVariance,
+    InvalidDelta,
+    LengthMismatch,
+    check_integer,
+    check_real,
+)
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
 from .regression import DesignFactor
 from .theory import mn_rule
@@ -83,7 +89,7 @@ class StatisticConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {', '.join(_MODE_NAMES)}"
             )
-        alpha = float(self.alpha)
+        alpha = check_real("alpha", self.alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         m, mn_delta = self.m, self.mn_delta
@@ -92,7 +98,7 @@ class StatisticConfig:
         if mn_delta is None:
             m = check_integer("m", 5 if m is None else m, 1)
         else:
-            mn_delta = float(mn_delta)
+            mn_delta = check_real("mn_delta", mn_delta)
             if not 0.0 < mn_delta < 1.0:
                 raise InvalidDelta(
                     f"mn_delta must lie in (0, 1) so that M_n/n -> 0, got {mn_delta!r}"
@@ -123,17 +129,29 @@ class DrawStat:
 
 @dataclass
 class TestOutcome:
-    """Result of one randomized test, with seed provenance."""
+    """Result of one randomized test, with seed provenance.
+
+    ``s_n``, ``d_bar`` and ``s_d2`` are the ``(M,)`` arrays of the draws'
+    single-shot statistics, means and variances; ``per_draw`` lists them as
+    :class:`DrawStat` records.
+    """
 
     s_m: float
     q: float
-    per_draw: list
+    s_n: np.ndarray
+    d_bar: np.ndarray
+    s_d2: np.ndarray
     p_value: float
     reject: bool
     df_or_mn: int
     seed: object
     mode: TestMode
     alpha: float
+
+    @property
+    def per_draw(self):
+        rows = zip(self.s_n.tolist(), self.d_bar.tolist(), self.s_d2.tolist())
+        return [DrawStat(s_n=s, d_bar=d, s_d2=v) for s, d, v in rows]
 
     def as_dict(self):
         return {
@@ -238,10 +256,6 @@ def run_test(data, restriction, cfg, seed):
         b,
         counts,
     )
-    per_draw = [
-        DrawStat(s_n=s, d_bar=d, s_d2=v)
-        for s, d, v in zip(s_n.tolist(), d_bar.tolist(), s_d2.tolist())
-    ]
     s_m = float(s_n.sum())
 
     q = (s_m - m) / math.sqrt(2.0 * m)
@@ -252,7 +266,9 @@ def run_test(data, restriction, cfg, seed):
     return TestOutcome(
         s_m=s_m,
         q=q,
-        per_draw=per_draw,
+        s_n=s_n,
+        d_bar=d_bar,
+        s_d2=s_d2,
         p_value=p_value,
         reject=bool(p_value < cfg.alpha),
         df_or_mn=m,

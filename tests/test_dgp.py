@@ -12,8 +12,14 @@ from splitwald import (
     cholesky_lower,
     preset,
     simulate,
+    simulate_many,
 )
-from splitwald.dgp import OMEGA_THREE_PREDICTOR, PRESET_NAMES
+from splitwald.dgp import (
+    ARRAY_RECURSION_MIN,
+    OMEGA_THREE_PREDICTOR,
+    PRESET_NAMES,
+    _check_overflow,
+)
 
 from oracle import simulate_oracle
 
@@ -193,6 +199,51 @@ class TestSimulate:
             assert np.array_equal(got.y, ref.y)
             assert np.array_equal(got.X_lagged, ref.X_lagged)
             assert np.array_equal(got.u, ref.u)
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 50])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_batch_matches_row_wise_oracle(self, name, burn_in):
+        # widths on both sides of the switch to the array recursion
+        kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
+        spec = preset(name, 60, phi0=0.25, beta=0.1, burn_in=burn_in, **kwargs)
+        for width in (1, ARRAY_RECURSION_MIN - 1, ARRAY_RECURSION_MIN, 83):
+            seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
+            samples = list(simulate_many(spec, seeds))
+            assert len(samples) == width
+            for seed, got in zip(seeds, samples):
+                ref = simulate_oracle(spec, seed)
+                assert np.array_equal(got.y, ref.y)
+                assert np.array_equal(got.X_lagged, ref.X_lagged)
+                assert np.array_equal(got.u, ref.u)
+                assert got.X_lagged.flags.c_contiguous and got.X_lagged.shape == (60, spec.p)
+
+    def test_array_path_overflow_guard(self):
+        # the drift pushes every replication past the guard, then to infinity
+        seeds = [SeedSpec(13, r) for r in range(ARRAY_RECURSION_MIN)]
+        for phi0, message in ((1e10, "reached"), (1e306, "not finite")):
+            spec = DgpSpec(
+                n=500, alpha=[1.0], c=[1.0], phi0=[phi0], beta=[0.0],
+                omega=np.eye(2), burn_in=0,
+            )  # fmt: skip
+            with pytest.raises(NumericOverflow, match=message) as info:
+                simulate_many(spec, seeds)
+            assert info.value.index == 0
+
+    def test_overflow_names_the_first_bad_replication(self):
+        state = np.zeros((10, 2, 40))
+        state[4, 0, 9] = -2e12
+        state[3, 1, 5] = np.nan
+        with pytest.raises(NumericOverflow, match="not finite") as info:
+            _check_overflow(state)
+        assert info.value.index == 5
+        state[3, 1, 5] = np.inf
+        with pytest.raises(NumericOverflow, match="not finite") as info:
+            _check_overflow(state)
+        assert info.value.index == 5
+        state[3, 1, 5] = 1e12
+        with pytest.raises(NumericOverflow, match="reached 2.000e") as info:
+            _check_overflow(state)
+        assert info.value.index == 9
 
     def test_sample_shapes(self):
         spec = preset("DGP1a", 123, alpha1=0.5)

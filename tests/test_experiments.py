@@ -3,18 +3,29 @@ import json
 import numpy as np
 import pytest
 
+import splitwald.experiments as ex
 from splitwald import (
     DegenerateVariance,
+    DgpSpec,
     EmptyReport,
+    NumericOverflow,
     PlanParseError,
     PresetRef,
+    RegressionData,
+    Restriction,
+    SeedSpec,
     StatisticConfig,
     TestMode,
     export_report,
     load_plan,
     plan_from_dict,
+    preset,
+    run_test,
 )
+from splitwald.dgp import replication_bytes
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
+
+from oracle import simulate_oracle
 
 
 def tiny_plan(**over):
@@ -120,8 +131,6 @@ class TestRunPlan:
         assert cell.replications == 150
 
     def test_degenerate_replications_excluded_and_counted(self, monkeypatch):
-        import splitwald.experiments as ex
-
         real = ex.run_test
         calls = {"n": 0}
 
@@ -138,6 +147,81 @@ class TestRunPlan:
         assert cell.replications == 75
         assert cell.flagged
         assert report.flagged
+
+
+class TestBatches:
+    """A chunk simulates its replications in memory-capped batches."""
+
+    SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
+    CFG = StatisticConfig(m=4)
+    RESTRICTION = Restriction.all_slopes(1)
+    SEED = SeedSpec(21, 2)
+
+    def chunk(self, start, stop):
+        cell_id = 3
+        return ex._run_chunk(
+            (self.SPEC, self.CFG, self.RESTRICTION, self.SEED, cell_id, start, stop)
+        )
+
+    @pytest.mark.parametrize("width", [1, 32, 96])
+    def test_batch_width_does_not_change_counts(self, monkeypatch, width):
+        # 96 replications run as 96 scalar batches, 3 array batches of 32,
+        # or one array batch; each must match the one-at-a-time oracle
+        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
+        widths = [hi - lo for lo, hi in ex._batches(self.SPEC, 250, 346)]
+        assert widths == [width] * (96 // width)
+        rejected = degenerate = 0
+        for r in range(250, 346):
+            rep_seed = self.SEED.child(3, r)
+            sample = simulate_oracle(self.SPEC, rep_seed.child(0))
+            data = RegressionData(sample.y, sample.X_lagged)
+            try:
+                rejected += run_test(data, self.RESTRICTION, self.CFG, rep_seed.child(1)).reject
+            except DegenerateVariance:
+                degenerate += 1
+        assert self.chunk(250, 346) == (3, rejected, degenerate)
+
+    def test_fewest_near_equal_batches(self, monkeypatch):
+        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 109 * replication_bytes(self.SPEC))
+        assert list(ex._batches(self.SPEC, 0, 250)) == [(0, 84), (84, 167), (167, 250)]
+        assert list(ex._batches(self.SPEC, 250, 359)) == [(250, 359)]
+        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 1)
+        assert list(ex._batches(self.SPEC, 5, 8)) == [(5, 6), (6, 7), (7, 8)]
+
+    def test_default_cap_is_two_mib(self):
+        # DGP1b at n=1000 fits 109 replications; DGP2c_ii at n=2000 only 29,
+        # which stays on the scalar recursion
+        assert ex.SIM_BATCH_BYTES == 2 * 2**20
+        dgp1b = preset("DGP1b", 1000, alpha1=1.0)
+        dgp2c = preset("DGP2c_ii", 2000)
+        assert [hi - lo for lo, hi in ex._batches(dgp1b, 0, 250)] == [84, 83, 83]
+        assert [hi - lo for lo, hi in ex._batches(dgp2c, 0, 250)] == [28] * 7 + [27] * 2
+
+    def test_overflow_index_counts_earlier_batches(self, monkeypatch):
+        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 40 * replication_bytes(self.SPEC))
+        real = ex.simulate_many
+        widths = []
+
+        def second_batch_fails(spec, seeds):
+            widths.append(len(seeds))
+            if len(widths) == 2:
+                raise NumericOverflow("forced", index=2)
+            return real(spec, seeds)
+
+        monkeypatch.setattr(ex, "simulate_many", second_batch_fails)
+        with pytest.raises(NumericOverflow, match=r"^cell 3, replication 292: forced$") as info:
+            self.chunk(250, 330)
+        assert widths == [40, 40] and info.value.index == 292
+
+    def test_overflow_names_the_replication(self):
+        # the explosive spec of test_dgp's overflow guard, through a plan
+        spec = DgpSpec(
+            n=5000, alpha=[1.0], c=[1.0], phi0=[1e10], beta=[0.0],
+            omega=np.eye(2), burn_in=0,
+        )  # fmt: skip
+        plan = tiny_plan(dgp=spec, n_grid=(5000,), replications=100)
+        with pytest.raises(NumericOverflow, match=r"cell 0, replication 0: simulated state"):
+            run_plan(plan)
 
 
 class TestExport:
@@ -256,6 +340,15 @@ class TestPlanFiles:
             # set per cell from p0_grid and beta_grid, so not plan-file keys
             ({"statistic": {"p0": 0.4}}, "p0"),
             ({"dgp": {"preset": "DGP2a", "beta": 0.1}}, "beta"),
+            # text and flags were read as numbers through float() before
+            ({"p0_grid": ["0.4"]}, "p0_grid"),
+            ({"beta_grid": [True]}, "beta_grid"),
+            ({"beta_grid": [0.0, "0.1"]}, "beta_grid"),
+            ({"dgp": {"preset": "DGP1a", "alpha1": True}}, "alpha1"),
+            ({"dgp": {"preset": "DGP1a", "alpha1": 0.5, "sigma_uv": "-0.9"}}, "sigma_uv"),
+            ({"dgp": {"preset": "DGP2a", "phi0": False}}, "phi0"),
+            ({"statistic": {"alpha": "0.05"}}, "alpha"),
+            ({"statistic": {"mn_delta": True}}, "mn_delta"),
         ],
     )
     def test_malformed_field_rejected_at_parse(self, override, field_name):
@@ -264,10 +357,19 @@ class TestPlanFiles:
 
     def test_statistic_defaults_to_fixed_m5(self):
         doc = self.valid_doc()
-        doc["statistic"] = {"alpha": "0.05"}
+        doc["statistic"] = {"alpha": 0.05}
         cfg = plan_from_dict(doc).cfg_template
         assert cfg.mode is TestMode.FIXED_M_CHI_SQUARE
         assert (cfg.m, cfg.mn_delta, cfg.alpha) == (5, None, 0.05)
+
+    def test_integer_reals_accepted(self):
+        doc = self.valid_doc()
+        doc["dgp"] = {"preset": "DGP1a", "alpha1": 1, "sigma_uv": 0, "phi0": np.int64(0)}
+        doc["beta_grid"] = [0, 1]
+        plan = plan_from_dict(doc)
+        assert plan.beta_grid == (0.0, 1.0)
+        assert (plan.dgp.alpha1, plan.dgp.sigma_uv, plan.dgp.phi0) == (1.0, 0.0, 0.0)
+        assert all(type(v) is float for v in (*plan.beta_grid, plan.dgp.alpha1))
 
     def test_custom_spec_plan(self):
         doc = self.valid_doc()

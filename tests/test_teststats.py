@@ -113,9 +113,26 @@ class TestConfig:
         assert cfg.m == 7 and type(cfg.m) is int
 
     def test_alpha_and_mn_delta_coerced_to_float(self):
-        cfg = StatisticConfig(mode="growing", mn_delta="0.5", alpha="0.05")
+        cfg = StatisticConfig(mode="growing", mn_delta=np.float32(0.5), alpha=np.float64(0.05))
         assert cfg.mn_delta == 0.5 and cfg.alpha == 0.05
+        assert type(cfg.mn_delta) is float and type(cfg.alpha) is float
         assert cfg.m is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", "0.05"),
+            ("alpha", True),
+            ("alpha", float("nan")),
+            ("mn_delta", "0.5"),
+            ("mn_delta", True),
+            ("mn_delta", np.bool_(True)),
+        ],
+    )
+    def test_non_real_alpha_and_mn_delta_rejected(self, field, value):
+        # text and flags are not read as numbers
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            StatisticConfig(mode="growing", **{field: value})
 
 
 class TestDSequence:
@@ -381,6 +398,11 @@ class TestClosedFormAgainstOracle:
         assert [d.s_n for d in out.per_draw] == s_n.tolist()
         assert [d.d_bar for d in out.per_draw] == d_bar.tolist()
         assert [d.s_d2 for d in out.per_draw] == s_d2.tolist()
+        # the outcome keeps the arrays; per_draw is built from them on demand
+        assert np.array_equal(out.s_n, s_n) and np.array_equal(out.s_d2, s_d2)
+        assert out.as_dict()["per_draw"] == [
+            {"s_n": d.s_n, "d_bar": d.d_bar, "s_d2": d.s_d2} for d in out.per_draw
+        ]
 
 
 class TestNullBehaviour:
