@@ -15,12 +15,13 @@ suite.
 
 :func:`simulate_many` simulates a batch: each seed draws its shocks from its
 own stream into one time-major buffer, and the recursions step over time on
-every replication at once. A batch narrower than ``ARRAY_RECURSION_MIN``
-(32) runs them series by series on Python floats instead, since each numpy
-step costs about as much at width 1 as at width 32. Both give the same bits,
-and :func:`simulate` is the one-seed case. The Monte Carlo harness sizes its
-batches so that the buffer stays within ``experiments.SIM_BATCH_BYTES``
-(2 MiB).
+every replication at once. A batch that updates fewer than
+``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
+``p + 1``, runs them series by series on Python floats instead, since each
+numpy step costs about as much at width 1 as at width 20. Both give the same
+bits, and :func:`simulate` is the one-seed case. The Monte Carlo harness
+sizes its batches so that the buffer stays within
+``experiments.SIM_BATCH_BYTES`` (2 MiB).
 """
 
 import math
@@ -28,16 +29,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NumericOverflow, UnknownPreset, check_integer
+from .errors import (
+    NotPositiveDefinite,
+    NumericOverflow,
+    UnknownPreset,
+    check_integer,
+    check_real,
+)
 
 OVERFLOW_GUARD = 1e12
 
-# Narrowest batch whose recursions step numpy over time. Each step costs a
-# few ufunc calls whatever the batch width, so a narrow batch is faster on
-# Python floats. DGP1b, n=1000, on arrays against floats (2 cores, numpy
-# 2.4.6): 15.6 against 0.5 ms at width 1, 9.2 against 8.0 ms at width 16 and
-# 8.9 against 15.9 ms at width 32.
-ARRAY_RECURSION_MIN = 32
+# Fewest state values per time step, batch width * (p + 1), for which the
+# recursions step numpy over time. A numpy step costs a few ufunc calls
+# whatever its width, while the Python-float loops cost per series and per
+# predictor, so the break-even width falls as p grows. Simulate time per
+# replication at n=2000, floats against arrays (2 cores, numpy 2.4.6): DGP1b
+# 1126/1506 us at width 12, 1138/1177 at 16, 1122/997 at 20; DGP2c_ii
+# 2470/2895 at width 6, 2433/2277 at 8, 2422/1923 at 10. Break-even lies near
+# width 16 at p=1 and 8-10 at p=3; from 40 values (width 20 at p=1, 10 at
+# p=3) the arrays were faster on every preset.
+ARRAY_RECURSION_MIN_VALUES = 40
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
 OMEGA_THREE_PREDICTOR = np.array(
@@ -192,7 +203,7 @@ def simulate_many(spec, seeds):
     for r, seed in enumerate(seeds):
         shocks = seed.generator().standard_normal((total, spec.p + 1))
         buf[1:, :, r] = shocks @ spec._lower.T
-    if width < ARRAY_RECURSION_MIN:
+    if width * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
         for r in range(width):
             _recurse_series(spec, buf[:, :, r])
     else:
@@ -333,18 +344,18 @@ def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=2
             f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"
         )
     label = canonical[key]
+    phi0 = check_real("phi0", phi0)
 
     if label.startswith("DGP1"):
         if alpha1 is None:
             raise ValueError(f"{label} requires alpha1 (persistence exponent)")
-        if sigma_uv is None:
-            sigma_uv = -0.90
-        alpha = np.array([float(alpha1)])
+        sigma_uv = -0.90 if sigma_uv is None else check_real("sigma_uv", sigma_uv)
+        alpha = np.array([check_real("alpha1", alpha1)])
         common = dict(
             n=n,
             alpha=alpha,
             c=_c_for(alpha),
-            phi0=float(phi0),
+            phi0=phi0,
             beta=beta,
             burn_in=burn_in,
             label=label,
@@ -368,7 +379,7 @@ def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=2
         n=n,
         alpha=alphas,
         c=_c_for(alphas),
-        phi0=float(phi0),
+        phi0=phi0,
         beta=beta,
         omega=OMEGA_THREE_PREDICTOR.copy(),
         rho=rho,

@@ -29,7 +29,11 @@ def check_real(name, value):
     text is silently read as a number.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not math.isfinite(value):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 

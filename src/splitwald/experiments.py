@@ -53,12 +53,6 @@ class PresetRef:
     phi0: float = 0.0
     burn_in: int = 200
 
-    def __post_init__(self):
-        for name in ("alpha1", "sigma_uv", "phi0"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, check_real(name, value))
-
     def build(self, n, beta):
         return preset(
             self.name,
@@ -399,10 +393,7 @@ def _dgp_from_dict(d):
     _check_keys("dgp", d, _PRESET_KEYS)
     if "preset" not in d:
         raise PlanParseError("dgp: expected either 'preset' or 'spec'")
-    try:
-        return PresetRef(d["preset"], **{k: v for k, v in d.items() if k != "preset"})
-    except ValueError as exc:
-        raise PlanParseError(f"dgp: {exc}") from None
+    return PresetRef(d["preset"], **{k: v for k, v in d.items() if k != "preset"})
 
 
 def plan_from_dict(d, workers=None):

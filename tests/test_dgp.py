@@ -14,8 +14,9 @@ from splitwald import (
     simulate,
     simulate_many,
 )
+from splitwald import dgp
 from splitwald.dgp import (
-    ARRAY_RECURSION_MIN,
+    ARRAY_RECURSION_MIN_VALUES,
     OMEGA_THREE_PREDICTOR,
     PRESET_NAMES,
     _check_overflow,
@@ -206,7 +207,8 @@ class TestSimulate:
         # widths on both sides of the switch to the array recursion
         kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
         spec = preset(name, 60, phi0=0.25, beta=0.1, burn_in=burn_in, **kwargs)
-        for width in (1, ARRAY_RECURSION_MIN - 1, ARRAY_RECURSION_MIN, 83):
+        narrowest = -(-ARRAY_RECURSION_MIN_VALUES // (spec.p + 1))
+        for width in (1, narrowest - 1, narrowest, 83):
             seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
             samples = list(simulate_many(spec, seeds))
             assert len(samples) == width
@@ -217,9 +219,27 @@ class TestSimulate:
                 assert np.array_equal(got.u, ref.u)
                 assert got.X_lagged.flags.c_contiguous and got.X_lagged.shape == (60, spec.p)
 
+    @pytest.mark.parametrize(
+        "name, width, arrays",
+        [("DGP1b", 19, False), ("DGP1b", 20, True), ("DGP2a", 9, False), ("DGP2a", 10, True)],
+    )
+    def test_switch_counts_values_per_step(self, monkeypatch, name, width, arrays):
+        # width * (p + 1) >= ARRAY_RECURSION_MIN_VALUES selects the arrays
+        kwargs = {"alpha1": 1.0} if name.startswith("DGP1") else {}
+        spec = preset(name, 40, burn_in=0, **kwargs)
+        paths = []
+        for path in ("_recurse_series", "_recurse_rows"):
+            real = getattr(dgp, path)
+            monkeypatch.setattr(
+                dgp, path, lambda *a, path=path, real=real: paths.append(path) or real(*a)
+            )
+        simulate_many(spec, [SeedSpec(14, r) for r in range(width)])
+        assert set(paths) == {"_recurse_rows" if arrays else "_recurse_series"}
+
     def test_array_path_overflow_guard(self):
         # the drift pushes every replication past the guard, then to infinity
-        seeds = [SeedSpec(13, r) for r in range(ARRAY_RECURSION_MIN)]
+        width = ARRAY_RECURSION_MIN_VALUES // 2  # p = 1
+        seeds = [SeedSpec(13, r) for r in range(width)]
         for phi0, message in ((1e10, "reached"), (1e306, "not finite")):
             spec = DgpSpec(
                 n=500, alpha=[1.0], c=[1.0], phi0=[phi0], beta=[0.0],
@@ -288,6 +308,19 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPreset):
             preset("DGP9", 100)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"alpha1": True}, "alpha1"),
+            ({"alpha1": 1.0, "sigma_uv": "-0.9"}, "sigma_uv"),
+            ({"alpha1": 1.0, "phi0": np.bool_(False)}, "phi0"),
+            ({"alpha1": 10**400}, "alpha1"),
+        ],
+    )
+    def test_real_parameters_checked(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            preset("DGP1b", 100, **kwargs)
 
     def test_dgp2_rejects_dgp1_arguments(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from splitwald import (
     preset,
     run_test,
 )
-from splitwald.dgp import replication_bytes
+from splitwald.dgp import ARRAY_RECURSION_MIN_VALUES, replication_bytes
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
 
 from oracle import simulate_oracle
@@ -163,10 +163,10 @@ class TestBatches:
             (self.SPEC, self.CFG, self.RESTRICTION, self.SEED, cell_id, start, stop)
         )
 
-    @pytest.mark.parametrize("width", [1, 32, 96])
+    @pytest.mark.parametrize("width", [1, 16, 32, 96])
     def test_batch_width_does_not_change_counts(self, monkeypatch, width):
-        # 96 replications run as 96 scalar batches, 3 array batches of 32,
-        # or one array batch; each must match the one-at-a-time oracle
+        # 96 replications run as 96 or 6 scalar batches, 3 array batches of
+        # 32, or one array batch; each must match the one-at-a-time oracle
         monkeypatch.setattr(ex, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         widths = [hi - lo for lo, hi in ex._batches(self.SPEC, 250, 346)]
         assert widths == [width] * (96 // width)
@@ -189,13 +189,14 @@ class TestBatches:
         assert list(ex._batches(self.SPEC, 5, 8)) == [(5, 6), (6, 7), (7, 8)]
 
     def test_default_cap_is_two_mib(self):
-        # DGP1b at n=1000 fits 109 replications; DGP2c_ii at n=2000 only 29,
-        # which stays on the scalar recursion
+        # DGP1b at n=1000 fits 109 replications and DGP2c_ii at n=2000 29;
+        # both sets of batches run on the array recursion
         assert ex.SIM_BATCH_BYTES == 2 * 2**20
         dgp1b = preset("DGP1b", 1000, alpha1=1.0)
         dgp2c = preset("DGP2c_ii", 2000)
         assert [hi - lo for lo, hi in ex._batches(dgp1b, 0, 250)] == [84, 83, 83]
         assert [hi - lo for lo, hi in ex._batches(dgp2c, 0, 250)] == [28] * 7 + [27] * 2
+        assert 27 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
 
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
         monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 40 * replication_bytes(self.SPEC))
@@ -349,6 +350,10 @@ class TestPlanFiles:
             ({"dgp": {"preset": "DGP2a", "phi0": False}}, "phi0"),
             ({"statistic": {"alpha": "0.05"}}, "alpha"),
             ({"statistic": {"mn_delta": True}}, "mn_delta"),
+            # an integer beyond the float range is not finite
+            ({"dgp": {"preset": "DGP1a", "alpha1": 10**400}}, "alpha1"),
+            ({"p0_grid": [10**400]}, "p0_grid"),
+            ({"statistic": {"alpha": -(10**400)}}, "alpha"),
         ],
     )
     def test_malformed_field_rejected_at_parse(self, override, field_name):
@@ -368,8 +373,9 @@ class TestPlanFiles:
         doc["beta_grid"] = [0, 1]
         plan = plan_from_dict(doc)
         assert plan.beta_grid == (0.0, 1.0)
-        assert (plan.dgp.alpha1, plan.dgp.sigma_uv, plan.dgp.phi0) == (1.0, 0.0, 0.0)
-        assert all(type(v) is float for v in (*plan.beta_grid, plan.dgp.alpha1))
+        assert all(type(v) is float for v in plan.beta_grid)
+        spec, _, _ = plan.build_cell(plan.n_grid[0], plan.p0_grid[0], 1.0)
+        assert (spec.alpha[0], spec.omega[0, 1], spec.phi0[0]) == (1.0, 0.0, 0.0)
 
     def test_custom_spec_plan(self):
         doc = self.valid_doc()
