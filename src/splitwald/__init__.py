@@ -53,14 +53,7 @@ from .experiments import (
     power_curve_empirical,
     run_plan,
 )
-from .randomization import (
-    SeedSpec,
-    WeightSequence,
-    check_p0,
-    draw_bernoulli_rows,
-    draw_bernoulli_weights,
-    population_weights,
-)
+from .randomization import SeedSpec, check_p0, draw_bernoulli_rows
 from .regression import (
     RegressionData,
     RegressionFit,
@@ -69,7 +62,6 @@ from .regression import (
     fit_unrestricted,
 )
 from .teststats import (
-    DrawStat,
     StatisticConfig,
     TestMode,
     TestOutcome,

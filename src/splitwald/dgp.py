@@ -19,9 +19,9 @@ every replication at once. A batch that updates fewer than
 ``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
-bits, and :func:`simulate` is the one-seed case. The Monte Carlo harness
-sizes its batches so that the buffer stays within
-``experiments.SIM_BATCH_BYTES`` (2 MiB).
+bits, and :func:`simulate` is the one-seed case. A call splits its seeds
+into the fewest near-equal batches whose buffer fits in ``SIM_BATCH_BYTES``
+(2 MiB) and frees each batch's buffer before it allocates the next.
 """
 
 import math
@@ -49,6 +49,10 @@ OVERFLOW_GUARD = 1e12
 # width 16 at p=1 and 8-10 at p=3; from 40 values (width 20 at p=1, 10 at
 # p=3) the arrays were faster on every preset.
 ARRAY_RECURSION_MIN_VALUES = 40
+
+# Largest shock buffer of one simulate_many batch. One 250-wide batch at
+# DGP1b, n=1000 raised peak memory by 20%; a 2 MiB batch adds about 2 MiB.
+SIM_BATCH_BYTES = 2 * 2**20
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
 OMEGA_THREE_PREDICTOR = np.array(
@@ -96,6 +100,12 @@ def cholesky_lower(omega):
     return lower
 
 
+def _reals(name, value):
+    """``value`` as a float64 array, every entry checked by ``check_real``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([check_real(name, v) for v in entries.flat]).reshape(entries.shape)
+
+
 @dataclass
 class DgpSpec:
     """Full parameterization of one simulation scenario.
@@ -121,14 +131,14 @@ class DgpSpec:
     _lower: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
+        self.alpha = np.atleast_1d(_reals("alpha", self.alpha))
         p = self.alpha.shape[0]
         for name in ("c", "phi0", "beta"):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
+            value = _reals(name, getattr(self, name))
             setattr(self, name, np.broadcast_to(value, (p,)).copy())
-        self.omega = np.asarray(self.omega, dtype=np.float64)
+        self.omega = _reals("omega", self.omega)
         for name in ("rho", "theta0", "theta1", "mu"):
-            setattr(self, name, float(getattr(self, name)))
+            setattr(self, name, check_real(name, getattr(self, name)))
 
         self.n = check_integer("n", self.n, 4)
         self.burn_in = check_integer("burn_in", self.burn_in, 0)
@@ -176,11 +186,6 @@ class SimulatedSample:
     u: np.ndarray
 
 
-def replication_bytes(spec):
-    """Bytes that one replication takes in the buffer of :func:`simulate_many`."""
-    return (spec.burn_in + spec.n + 1) * (spec.p + 1) * 8
-
-
 def simulate_many(spec, seeds):
     """Generate one sample from ``spec`` per seed in the sequence ``seeds``.
 
@@ -188,13 +193,31 @@ def simulate_many(spec, seeds):
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
+    The seeds run in the fewest near-equal batches whose buffer fits in
+    ``SIM_BATCH_BYTES``. The first replication whose state is not finite or
+    exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
+    position in ``seeds`` as ``index``, before any sample of its batch is
+    produced. Yields :class:`SimulatedSample` objects, in seed order.
+    """
+    widest = max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
+    total = len(seeds)
+    count = -(-total // widest)
+    lo = 0
+    for k in range(count):
+        hi = lo + total // count + (k < total % count)
+        # the batch's buffer lives in its own generator, which is exhausted
+        # and freed before the next batch allocates one
+        yield from _simulate_batch(spec, seeds[lo:hi], lo)
+        lo = hi
+
+
+def _simulate_batch(spec, seeds, start):
+    """The samples of one batch of :func:`simulate_many`, whose first seed
+    is at position ``start``.
+
     Seed ``r`` draws its shocks into slice ``r`` of one time-major buffer,
     whose row 0 is the zero start state, and the recursions run in place on
     it; both recursion paths apply the same operations in the same order.
-    The first replication whose state is not finite or exceeds
-    ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its position
-    in ``seeds`` as ``index``, before any sample is produced. Returns an
-    iterator of :class:`SimulatedSample`, in seed order.
     """
     width = len(seeds)
     total = spec.burn_in + spec.n
@@ -209,7 +232,7 @@ def simulate_many(spec, seeds):
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
-    _check_overflow(buf)
+    _check_overflow(buf, start)
     return (_sample(spec, buf[:, :, r]) for r in range(width))
 
 
@@ -288,8 +311,9 @@ def _recurse_rows(spec, buf):
         add(cur, step, cur)
 
 
-def _check_overflow(buf):
-    """Raise for the first replication whose state leaves the guard."""
+def _check_overflow(buf, start=0):
+    """Raise for the first replication whose state leaves the guard; its
+    ``index`` is ``start`` plus its slice of the buffer."""
     hi = buf.max(axis=(0, 1))
     lo = buf.min(axis=(0, 1))
     bad = np.flatnonzero(~((lo >= -OVERFLOW_GUARD) & (hi <= OVERFLOW_GUARD)))
@@ -298,13 +322,13 @@ def _check_overflow(buf):
     r = int(bad[0])
     if not (np.isfinite(hi[r]) and np.isfinite(lo[r])):
         raise NumericOverflow(
-            "simulated state is not finite; parameters explosive?", index=r
+            "simulated state is not finite; parameters explosive?", index=start + r
         )
     peak = max(hi[r], -lo[r])
     raise NumericOverflow(
         f"simulated state reached {peak:.3e} (> {OVERFLOW_GUARD:.0e}); "
         "parameters look explosive",
-        index=r,
+        index=start + r,
     )
 
 

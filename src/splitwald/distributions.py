@@ -12,7 +12,7 @@ in the test suite.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidProbability, NonConvergence, check_integer
+from .errors import InvalidProbability, NonConvergence, check_integer, check_real
 
 _EPS = 1e-16
 _MAX_SERIES_ITER = 10**6
@@ -29,8 +29,9 @@ class ChiSquareParams:
 
     def __post_init__(self):
         object.__setattr__(self, "df", check_integer("df", self.df, 1))
-        if not math.isfinite(self.ncp) or self.ncp < 0:
-            raise ValueError(f"ncp must be finite and >= 0, got {self.ncp!r}")
+        object.__setattr__(self, "ncp", check_real("ncp", self.ncp))
+        if self.ncp < 0:
+            raise ValueError(f"ncp must be >= 0, got {self.ncp!r}")
 
 
 def normal_cdf(x):

@@ -97,9 +97,9 @@ class NotPositiveDefinite(SplitwaldError):
 class NumericOverflow(SplitwaldError):
     """Simulated state exceeded the overflow guard (explosive parameters).
 
-    ``index`` is the 0-based replication: its position in the batch of
-    seeds from :func:`splitwald.simulate_many`, and its index within its
-    plan cell when raised by :func:`splitwald.run_plan`.
+    ``index`` is the 0-based replication: its position in the seeds of
+    :func:`splitwald.simulate_many`, and its index within its plan cell
+    when raised by :func:`splitwald.run_plan`.
     """
 
     def __init__(self, message, index=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._version import __version__
-from .dgp import DgpSpec, preset, replication_bytes, simulate_many
+from .dgp import DgpSpec, preset, simulate_many
 from .errors import (
     DegenerateVariance,
     EmptyReport,
@@ -33,11 +33,6 @@ from .teststats import StatisticConfig, run_test
 # Replications are dispatched in fixed-size chunks so that scheduling (and
 # hence the worker count) cannot influence any per-replication computation.
 CHUNK = 250
-
-# A chunk simulates its replications in the fewest near-equal batches whose
-# simulate_many buffer fits in this many bytes. One 250-wide batch at DGP1b,
-# n=1000 raised peak memory by 20%; a 2 MiB batch adds about 2 MiB.
-SIM_BATCH_BYTES = 2 * 2**20
 
 # A cell is flagged when more than this fraction of replications degenerates.
 DEGENERATE_CELL_LIMIT = 1e-3
@@ -182,35 +177,14 @@ class ExperimentReport:
         return any(cell.flagged for cell in self.cells)
 
 
-def _batches(spec, start, stop):
-    """The fewest near-equal ``(lo, hi)`` ranges covering ``start..stop``
-    whose :func:`simulate_many` buffers fit in ``SIM_BATCH_BYTES``."""
-    widest = max(1, SIM_BATCH_BYTES // replication_bytes(spec))
-    count = -(-(stop - start) // widest)
-    size, extra = divmod(stop - start, count)
-    lo = start
-    for k in range(count):
-        hi = lo + size + (k < extra)
-        yield lo, hi
-        lo = hi
-
-
 def _run_chunk(payload):
     """Count rejections over one fixed chunk of replications of one cell."""
     spec, cfg, restriction, seed, cell_id, start, stop = payload
     rejected = 0
     degenerate = 0
-    for lo, hi in _batches(spec, start, stop):
-        rep_seeds = [seed.child(cell_id, r) for r in range(lo, hi)]
-        try:
-            samples = simulate_many(spec, [s.child(0) for s in rep_seeds])
-        except NumericOverflow as exc:
-            r = lo + exc.index
-            raise NumericOverflow(
-                f"cell {cell_id}, replication {r}: {exc}", index=r
-            ) from None
-        # samples first: the exhausted sampler frees its buffer before the
-        # next batch allocates one
+    rep_seeds = [seed.child(cell_id, r) for r in range(start, stop)]
+    samples = simulate_many(spec, [s.child(0) for s in rep_seeds])
+    try:
         for sample, rep_seed in zip(samples, rep_seeds):
             data = RegressionData(sample.y, sample.X_lagged)
             try:
@@ -220,6 +194,11 @@ def _run_chunk(payload):
                 continue
             if outcome.reject:
                 rejected += 1
+    except NumericOverflow as exc:
+        r = start + exc.index
+        raise NumericOverflow(
+            f"cell {cell_id}, replication {r}: {exc}", index=r
+        ) from None
     return cell_id, rejected, degenerate
 
 

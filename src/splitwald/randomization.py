@@ -1,4 +1,4 @@
-"""Deterministic random streams and Bernoulli split-sample weights.
+"""Deterministic random streams and batched Bernoulli draws.
 
 The tests in this package are randomized: each one consumes external i.i.d.
 Bernoulli sequences that are independent of the data. Reproducibility across
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLength, InvalidP0
+from .errors import InvalidLength, InvalidP0, check_real
 
 # Admissible success probabilities: [0.30, 0.70] minus a guard band around
 # one-half where the weight variance degenerates.
@@ -42,13 +42,15 @@ def check_p0(p0):
 
     Raises
     ------
+    ValueError
+        If ``p0`` is not a finite real number.
     InvalidP0
         If ``p0`` falls outside ``[0.30, 0.70]`` or within ``0.02`` of the
         degenerate point one-half (where the split-sample weights collapse
         to a constant and the statistic's variance vanishes).
     """
-    p0 = float(p0)
-    if not np.isfinite(p0) or not (P0_LOW <= p0 <= P0_HIGH):
+    p0 = check_real("p0", p0)
+    if not P0_LOW <= p0 <= P0_HIGH:
         raise InvalidP0(
             f"p0={p0!r} outside the admissible range [{P0_LOW}, {P0_HIGH}]"
         )
@@ -115,37 +117,6 @@ class SeedSpec:
         }
 
 
-@dataclass
-class WeightSequence:
-    """One Bernoulli draw and its derived split-sample weights.
-
-    ``w[t]`` is ``1/(2*b_bar)`` when ``b[t] == 1`` and ``1/(2*(1-b_bar))``
-    otherwise, so the weights sum to ``n`` exactly in exact arithmetic.
-    Construction does not re-validate ``p0``; use
-    :func:`draw_bernoulli_weights` for guarded draws.
-    """
-
-    b: np.ndarray
-    p0: float
-    b_bar: float
-    w: np.ndarray
-
-    @classmethod
-    def from_draws(cls, b, p0):
-        """Build the weight sequence for a given 0/1 draw (must be mixed)."""
-        b = np.asarray(b, dtype=np.float64)
-        b_bar = float(b.mean())
-        if not 0.0 < b_bar < 1.0:
-            raise InvalidLength(
-                "degenerate Bernoulli draw (all zeros or all ones): weights undefined"
-            )
-        w = 0.5 * (b / b_bar + (1.0 - b) / (1.0 - b_bar))
-        return cls(b=b, p0=float(p0), b_bar=b_bar, w=w)
-
-    def __len__(self):
-        return self.b.shape[0]
-
-
 def draw_bernoulli_rows(n, p0, m, seed):
     """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the stream at ``seed``.
 
@@ -174,25 +145,3 @@ def draw_bernoulli_rows(n, p0, m, seed):
             np.less(bits.random_raw(n), threshold, out=b[j], casting="unsafe")
             counts[j] = b[j].sum()
     return b, counts
-
-
-def draw_bernoulli_weights(n, p0, seed):
-    """Draw one i.i.d. Bernoulli(n, p0) sequence and its weights.
-
-    This is row 0 of :func:`draw_bernoulli_rows` at ``seed``: a degenerate
-    draw is redrawn from the continuation of the same stream, so the
-    weights are always defined.
-    """
-    b, _ = draw_bernoulli_rows(n, p0, 1, seed)
-    return WeightSequence.from_draws(b[0], p0)
-
-
-def population_weights(b, p0):
-    """Weights with population probabilities in the denominators.
-
-    Unlike the sample-mean version these are exactly i.i.d. with unit mean;
-    they exist for diagnostics and moment checks, not for test construction.
-    """
-    p0 = check_p0(p0)
-    b = np.asarray(b, dtype=np.float64)
-    return 0.5 * (b / p0 + (1.0 - b) / (1.0 - p0))

@@ -119,21 +119,11 @@ class StatisticConfig:
 
 
 @dataclass
-class DrawStat:
-    """Per-draw diagnostics: the single-shot statistic and its ingredients."""
-
-    s_n: float
-    d_bar: float
-    s_d2: float
-
-
-@dataclass
 class TestOutcome:
     """Result of one randomized test, with seed provenance.
 
     ``s_n``, ``d_bar`` and ``s_d2`` are the ``(M,)`` arrays of the draws'
-    single-shot statistics, means and variances; ``per_draw`` lists them as
-    :class:`DrawStat` records.
+    single-shot statistics, means and variances.
     """
 
     s_m: float
@@ -148,12 +138,8 @@ class TestOutcome:
     mode: TestMode
     alpha: float
 
-    @property
-    def per_draw(self):
-        rows = zip(self.s_n.tolist(), self.d_bar.tolist(), self.s_d2.tolist())
-        return [DrawStat(s_n=s, d_bar=d, s_d2=v) for s, d, v in rows]
-
     def as_dict(self):
+        rows = zip(self.s_n.tolist(), self.d_bar.tolist(), self.s_d2.tolist())
         return {
             "s_m": self.s_m,
             "q": self.q,
@@ -162,10 +148,7 @@ class TestOutcome:
             "reject": self.reject,
             "mode": self.mode.value,
             "alpha": self.alpha,
-            "per_draw": [
-                {"s_n": d.s_n, "d_bar": d.d_bar, "s_d2": d.s_d2}
-                for d in self.per_draw
-            ],
+            "per_draw": [{"s_n": s, "d_bar": d, "s_d2": v} for s, d, v in rows],
             "seed": self.seed.describe(),
             "stream_layout": STREAM_LAYOUT,
         }

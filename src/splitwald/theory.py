@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ChiSquareParams, chisq_cdf, chisq_quantile
-from .errors import InvalidDelta, InvalidKurtosis, InvalidP0, check_integer
+from .errors import InvalidDelta, InvalidKurtosis, InvalidP0, check_integer, check_real
 from .randomization import check_p0
 
 
 def _open_unit(p0, name="p0"):
-    p0 = float(p0)
+    p0 = check_real(name, p0)
     if not 0.0 < p0 < 1.0:
         raise InvalidP0(f"{name} must lie strictly inside (0, 1), got {p0!r}")
     return p0
@@ -148,19 +148,17 @@ def asymptotic_power(ncp, m, alpha):
     the central chi-square with ``M`` degrees of freedom. Equals ``alpha``
     exactly at ``ncp = 0``.
     """
-    if ncp < 0:
-        raise ValueError(f"ncp must be >= 0, got {ncp!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     crit = chisq_quantile(1.0 - alpha, m)
-    return 1.0 - chisq_cdf(crit, ChiSquareParams(df=m, ncp=float(ncp)))
+    return 1.0 - chisq_cdf(crit, ChiSquareParams(df=m, ncp=ncp))
 
 
 def mn_rule(n, p0, delta):
     """Draw-count growth rule ``floor((n / p0)^delta)``, clamped at 1."""
     check_integer("n", n, 2)
     p0 = check_p0(p0)
-    delta = float(delta)
+    delta = check_real("delta", delta)
     if not 0.0 < delta < 1.0:
         raise InvalidDelta(
             f"growth exponent must lie in (0, 1) so that M_n/n -> 0, got {delta!r}"

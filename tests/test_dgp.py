@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from splitwald.dgp import (
     _check_overflow,
 )
 
-from oracle import simulate_oracle
+from oracle import replication_bytes, simulate_oracle
 
 
 def innovations(sample, spec):
@@ -95,6 +96,36 @@ class TestSpecValidation:
         # c large enough to push the AR coefficient below -1
         with pytest.raises(ValueError):
             DgpSpec(**self.kwargs(alpha=[0.0], c=[2.5]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho", "0.3"),
+            ("theta0", True),
+            ("theta1", float("nan")),
+            ("mu", 10**400),
+            ("alpha", [True]),
+            ("c", ["1"]),
+            ("phi0", [float("inf")]),
+            ("beta", np.bool_(False)),
+            ("omega", [[1.0, 0.0], [0.0, True]]),
+            ("omega", np.array([[1.0, 0.0], [0.0, np.nan]])),
+        ],
+    )
+    def test_real_fields_checked(self, field, value):
+        # text, flags and non-finite values are not read as numbers
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            DgpSpec(**self.kwargs(**{field: value}))
+
+    def test_integer_and_numpy_reals_accepted(self):
+        spec = DgpSpec(
+            **self.kwargs(alpha=[1], c=np.int64(1), phi0=np.float32(0.5), omega=np.eye(2, dtype=int))
+        )
+        assert spec.omega.dtype == spec.alpha.dtype == spec.c.dtype == np.float64
+        assert (spec.alpha[0], spec.c[0], spec.phi0[0]) == (1.0, 1.0, 0.5)
+        spec = DgpSpec(**self.kwargs(rho=0, theta0=np.int64(2), mu=np.float64(0.25)))
+        assert (spec.rho, spec.theta0, spec.mu) == (0.0, 2.0, 0.25)
+        assert {type(spec.rho), type(spec.theta0), type(spec.mu)} == {float}
 
     def test_omega_must_be_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -233,7 +264,7 @@ class TestSimulate:
             monkeypatch.setattr(
                 dgp, path, lambda *a, path=path, real=real: paths.append(path) or real(*a)
             )
-        simulate_many(spec, [SeedSpec(14, r) for r in range(width)])
+        list(simulate_many(spec, [SeedSpec(14, r) for r in range(width)]))
         assert set(paths) == {"_recurse_rows" if arrays else "_recurse_series"}
 
     def test_array_path_overflow_guard(self):
@@ -246,7 +277,7 @@ class TestSimulate:
                 omega=np.eye(2), burn_in=0,
             )  # fmt: skip
             with pytest.raises(NumericOverflow, match=message) as info:
-                simulate_many(spec, seeds)
+                list(simulate_many(spec, seeds))
             assert info.value.index == 0
 
     def test_overflow_names_the_first_bad_replication(self):
@@ -271,6 +302,92 @@ class TestSimulate:
         assert s.y.shape == (123,)
         assert s.X_lagged.shape == (123, 1)
         assert s.u.shape == (123,)
+
+
+class TestBatches:
+    """simulate_many runs its seeds in batches capped by SIM_BATCH_BYTES."""
+
+    SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
+
+    @staticmethod
+    def widths(monkeypatch, spec, count):
+        """Widths of the batches simulate_many makes for ``count`` seeds."""
+        widths = []
+        monkeypatch.setattr(
+            dgp, "_simulate_batch", lambda spec, seeds, start: widths.append(len(seeds)) or ()
+        )
+        assert list(simulate_many(spec, [SeedSpec(0, r) for r in range(count)])) == []
+        return widths
+
+    @pytest.mark.parametrize("width", [1, 16, 32, 96])
+    def test_batch_width_does_not_change_samples(self, monkeypatch, width):
+        # 96 seeds run as 96 or 6 scalar batches, 3 array batches of 32, or
+        # one array batch; each sample must match the row-wise oracle
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
+        seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
+        for seed, got in zip(seeds, simulate_many(self.SPEC, seeds), strict=True):
+            ref = simulate_oracle(self.SPEC, seed)
+            assert np.array_equal(got.y, ref.y)
+            assert np.array_equal(got.X_lagged, ref.X_lagged)
+            assert np.array_equal(got.u, ref.u)
+        assert self.widths(monkeypatch, self.SPEC, 96) == [width] * (96 // width)
+
+    def test_fewest_near_equal_batches(self, monkeypatch):
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 109 * replication_bytes(self.SPEC))
+        assert self.widths(monkeypatch, self.SPEC, 250) == [84, 83, 83]
+        assert self.widths(monkeypatch, self.SPEC, 109) == [109]
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 1)
+        assert self.widths(monkeypatch, self.SPEC, 3) == [1, 1, 1]
+
+    def test_default_cap_is_two_mib(self, monkeypatch):
+        # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 fits 109
+        # replications and DGP2c_ii at n=2000 29; both sets of batches run
+        # on the array recursion
+        assert dgp.SIM_BATCH_BYTES == 2 * 2**20
+        dgp1b = preset("DGP1b", 1000, alpha1=1.0)
+        dgp2c = preset("DGP2c_ii", 2000)
+        assert self.widths(monkeypatch, dgp1b, 250) == [84, 83, 83]
+        assert self.widths(monkeypatch, dgp2c, 250) == [28] * 7 + [27] * 2
+        assert 27 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
+
+    def test_overflow_in_a_later_batch_names_its_seed(self, monkeypatch):
+        # the second 40-wide batch goes non-finite at its third replication
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 40 * replication_bytes(self.SPEC))
+        real = dgp._recurse_rows
+        batches = []
+
+        def second_batch_blows_up(spec, buf):
+            real(spec, buf)
+            batches.append(buf.shape[2])
+            if len(batches) == 2:
+                buf[7, 1, 2] = np.inf
+
+        monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
+        samples = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
+        assert len([next(samples) for _ in range(40)]) == 40  # the first batch
+        with pytest.raises(NumericOverflow, match="not finite") as info:
+            next(samples)
+        assert batches == [40, 40] and info.value.index == 42
+
+    def test_each_batch_buffer_freed_before_the_next(self, monkeypatch):
+        # peak memory holds one batch buffer: by the time a batch checks its
+        # buffer, every earlier batch's buffer is gone
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 24 * replication_bytes(self.SPEC))
+        real = dgp._check_overflow
+        buffers = []
+
+        def one_buffer_alive(buf, start):
+            assert all(ref() is None for ref in buffers)
+            buffers.append(weakref.ref(buf))
+            real(buf, start)
+
+        monkeypatch.setattr(dgp, "_check_overflow", one_buffer_alive)
+        samples = list(simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]))
+        assert len(samples) == 96 and len(buffers) == 4
+
+    def test_no_seeds_no_samples(self, monkeypatch):
+        assert list(simulate_many(self.SPEC, [])) == []
+        assert self.widths(monkeypatch, self.SPEC, 0) == []
 
 
 class TestPresets:

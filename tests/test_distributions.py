@@ -167,6 +167,18 @@ class TestNoncentral:
         with pytest.raises(ValueError):
             ChiSquareParams(2, float("inf"))
 
+    @pytest.mark.parametrize("ncp", ["1", True, np.bool_(True), float("nan")])
+    def test_non_real_ncp_rejected(self, ncp):
+        # "1" raised TypeError and True was read as 1 before
+        with pytest.raises(ValueError, match="ncp must be a finite real number"):
+            ChiSquareParams(2, ncp)
+        with pytest.raises(ValueError, match="ncp must be a finite real number"):
+            asymptotic_power(ncp, 2, 0.1)
+
+    def test_integer_ncp_normalized(self):
+        assert type(ChiSquareParams(2, 1).ncp) is float
+        assert ChiSquareParams(2, 1) == ChiSquareParams(2, 1.0)
+
     def test_draw_count_types(self):
         # numpy integers are draw counts; a bool is not M=1
         assert asymptotic_power(2.0, np.int64(5), 0.1) == asymptotic_power(2.0, 5, 0.1)

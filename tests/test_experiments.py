@@ -22,10 +22,10 @@ from splitwald import (
     preset,
     run_test,
 )
-from splitwald.dgp import ARRAY_RECURSION_MIN_VALUES, replication_bytes
+from splitwald import dgp
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
 
-from oracle import simulate_oracle
+from oracle import replication_bytes, simulate_oracle
 
 
 def tiny_plan(**over):
@@ -150,7 +150,8 @@ class TestRunPlan:
 
 
 class TestBatches:
-    """A chunk simulates its replications in memory-capped batches."""
+    """A chunk simulates its replications in one simulate_many call, whose
+    batches are capped by dgp.SIM_BATCH_BYTES."""
 
     SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
     CFG = StatisticConfig(m=4)
@@ -167,9 +168,7 @@ class TestBatches:
     def test_batch_width_does_not_change_counts(self, monkeypatch, width):
         # 96 replications run as 96 or 6 scalar batches, 3 array batches of
         # 32, or one array batch; each must match the one-at-a-time oracle
-        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
-        widths = [hi - lo for lo, hi in ex._batches(self.SPEC, 250, 346)]
-        assert widths == [width] * (96 // width)
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         rejected = degenerate = 0
         for r in range(250, 346):
             rep_seed = self.SEED.child(3, r)
@@ -181,38 +180,19 @@ class TestBatches:
                 degenerate += 1
         assert self.chunk(250, 346) == (3, rejected, degenerate)
 
-    def test_fewest_near_equal_batches(self, monkeypatch):
-        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 109 * replication_bytes(self.SPEC))
-        assert list(ex._batches(self.SPEC, 0, 250)) == [(0, 84), (84, 167), (167, 250)]
-        assert list(ex._batches(self.SPEC, 250, 359)) == [(250, 359)]
-        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 1)
-        assert list(ex._batches(self.SPEC, 5, 8)) == [(5, 6), (6, 7), (7, 8)]
-
-    def test_default_cap_is_two_mib(self):
-        # DGP1b at n=1000 fits 109 replications and DGP2c_ii at n=2000 29;
-        # both sets of batches run on the array recursion
-        assert ex.SIM_BATCH_BYTES == 2 * 2**20
-        dgp1b = preset("DGP1b", 1000, alpha1=1.0)
-        dgp2c = preset("DGP2c_ii", 2000)
-        assert [hi - lo for lo, hi in ex._batches(dgp1b, 0, 250)] == [84, 83, 83]
-        assert [hi - lo for lo, hi in ex._batches(dgp2c, 0, 250)] == [28] * 7 + [27] * 2
-        assert 27 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
-
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
-        monkeypatch.setattr(ex, "SIM_BATCH_BYTES", 40 * replication_bytes(self.SPEC))
+        # simulate_many names the failing seed by its position in the chunk's
+        # seeds (test_dgp checks that across batches); the chunk adds its start
         real = ex.simulate_many
-        widths = []
 
-        def second_batch_fails(spec, seeds):
-            widths.append(len(seeds))
-            if len(widths) == 2:
-                raise NumericOverflow("forced", index=2)
-            return real(spec, seeds)
+        def overflow_at_42(spec, seeds):
+            yield from real(spec, seeds[:42])
+            raise NumericOverflow("forced", index=42)
 
-        monkeypatch.setattr(ex, "simulate_many", second_batch_fails)
+        monkeypatch.setattr(ex, "simulate_many", overflow_at_42)
         with pytest.raises(NumericOverflow, match=r"^cell 3, replication 292: forced$") as info:
             self.chunk(250, 330)
-        assert widths == [40, 40] and info.value.index == 292
+        assert info.value.index == 292
 
     def test_overflow_names_the_replication(self):
         # the explosive spec of test_dgp's overflow guard, through a plan
@@ -392,6 +372,35 @@ class TestPlanFiles:
         report = run_plan(plan)
         assert report.cells[0].dgp_label == "custom2"
         assert report.cells[0].alpha_vec == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # read as 1.0, 0.3 and 1.0 through float() before
+            ("alpha", [True]),
+            ("rho", "0.3"),
+            ("theta0", True),
+            ("c", ["1", 1.0]),
+            ("phi0", [float("nan"), 0.0]),
+            ("rho", np.bool_(False)),
+            ("omega", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, "1"]]),
+            ("theta1", float("inf")),
+            ("mu", 10**400),
+        ],
+    )
+    def test_custom_spec_reals_rejected_at_parse(self, field, value):
+        spec = {"alpha": [0.0, 0.0], "c": 0.5, "omega": np.eye(3).tolist(), field: value}
+        doc = {**self.valid_doc(), "dgp": {"spec": spec}}
+        with pytest.raises(PlanParseError, match=f"dgp.spec: {field} must be a finite real"):
+            plan_from_dict(doc)
+
+    def test_custom_spec_integer_reals_accepted(self):
+        spec = {"alpha": [0, 1], "c": [1, 1], "omega": np.eye(3, dtype=int).tolist(), "mu": 2}
+        plan = plan_from_dict({**self.valid_doc(), "dgp": {"spec": spec}})
+        built, _, _ = plan.build_cell(plan.n_grid[0], plan.p0_grid[0], 0.0)
+        assert built.alpha.dtype == built.omega.dtype == np.float64
+        assert built.alpha.tolist() == [0.0, 1.0] and built.omega.tolist() == np.eye(3).tolist()
+        assert type(built.mu) is float and built.mu == 2.0
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

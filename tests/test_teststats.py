@@ -13,11 +13,9 @@ from splitwald import (
     SeedSpec,
     StatisticConfig,
     TestMode,
-    WeightSequence,
     chisq_sf,
     ChiSquareParams,
     draw_bernoulli_rows,
-    draw_bernoulli_weights,
     draw_statistics,
     fit_restricted,
     fit_unrestricted,
@@ -29,7 +27,13 @@ from splitwald import (
 from splitwald.experiments import ExperimentPlan, run_plan
 from splitwald.regression import DesignFactor
 
-from oracle import compute_d_sequence, draw_statistics_oracle, single_shot
+from oracle import (
+    WeightSequence,
+    compute_d_sequence,
+    draw_bernoulli_weights,
+    draw_statistics_oracle,
+    single_shot,
+)
 
 
 def toy_data(n=200, seed=0, beta=0.0):
@@ -134,6 +138,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
             StatisticConfig(mode="growing", **{field: value})
 
+    @pytest.mark.parametrize("p0", ["0.4", True, float("nan")])
+    def test_non_real_p0_rejected(self, p0):
+        # p0 follows the same rule as alpha; "0.4" was accepted before
+        with pytest.raises(ValueError, match="p0 must be a finite real number"):
+            StatisticConfig(p0=p0)
+
 
 class TestDSequence:
     def test_vanishes_when_everything_matches(self):
@@ -200,9 +210,9 @@ class TestSingleShot:
 class TestRunTest:
     def test_outcome_identities(self):
         out = run_test(toy_data(), Restriction.all_slopes(1), StatisticConfig(), SeedSpec(1))
-        assert out.s_m == pytest.approx(sum(d.s_n for d in out.per_draw), rel=1e-15)
+        assert out.s_m == pytest.approx(sum(out.s_n.tolist()), rel=1e-15)
         assert out.q == (out.s_m - out.df_or_mn) / math.sqrt(2.0 * out.df_or_mn)
-        assert all(d.s_n >= 0.0 for d in out.per_draw)
+        assert np.all(out.s_n >= 0.0)
         assert 0.0 <= out.p_value <= 1.0
         assert out.reject == (out.p_value < out.alpha)
         assert out.p_value == pytest.approx(
@@ -225,7 +235,7 @@ class TestRunTest:
         shot = single_shot(d)
         # closed form against the two-pass oracle: rounding differs
         assert out.s_m == pytest.approx(shot.s_n, rel=1e-12)
-        assert len(out.per_draw) == 1
+        assert out.s_n.shape == (1,)
 
     def test_determinism(self):
         data = toy_data(seed=2)
@@ -245,8 +255,7 @@ class TestRunTest:
         moved = run_test(scaled, Restriction.all_slopes(1), cfg, SeedSpec(9))
         assert moved.s_m == pytest.approx(base.s_m, rel=1e-9)
         assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
-        for d0, d1 in zip(base.per_draw, moved.per_draw):
-            assert d1.s_n == pytest.approx(d0.s_n, rel=1e-9)
+        np.testing.assert_allclose(moved.s_n, base.s_n, rtol=1e-9)
 
     def test_shift_invariance(self):
         data = toy_data(seed=4)
@@ -395,13 +404,13 @@ class TestClosedFormAgainstOracle:
         s_n, d_bar, s_d2 = draw_statistics(
             *residual_inputs(data, Restriction.all_slopes(1)), b, counts
         )
-        assert [d.s_n for d in out.per_draw] == s_n.tolist()
-        assert [d.d_bar for d in out.per_draw] == d_bar.tolist()
-        assert [d.s_d2 for d in out.per_draw] == s_d2.tolist()
-        # the outcome keeps the arrays; per_draw is built from them on demand
-        assert np.array_equal(out.s_n, s_n) and np.array_equal(out.s_d2, s_d2)
+        assert out.s_n.tolist() == s_n.tolist()
+        assert out.d_bar.tolist() == d_bar.tolist()
+        assert out.s_d2.tolist() == s_d2.tolist()
+        # the report's per-draw records are built from the arrays
         assert out.as_dict()["per_draw"] == [
-            {"s_n": d.s_n, "d_bar": d.d_bar, "s_d2": d.s_d2} for d in out.per_draw
+            {"s_n": s, "d_bar": d, "s_d2": v}
+            for s, d, v in zip(s_n.tolist(), d_bar.tolist(), s_d2.tolist())
         ]
 
 

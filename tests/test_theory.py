@@ -30,6 +30,13 @@ class TestScalingFactor:
         with pytest.raises(InvalidP0):
             f_p0(0.5)
 
+    @pytest.mark.parametrize("fn", [f_p0, g_p0, elasticity, weight_variance])
+    @pytest.mark.parametrize("p0", ["0.4", True, float("nan")])
+    def test_non_real_p0_rejected(self, fn, p0):
+        # text and flags are not read as numbers; NaN was InvalidP0 before
+        with pytest.raises(ValueError, match="p0 must be a finite real number"):
+            fn(p0)
+
     def test_strictly_increasing_below_half(self):
         grid = np.arange(0.30, 0.4801, 0.005)
         vals = [f_p0(p) for p in grid]
@@ -169,3 +176,8 @@ class TestGrowthRule:
     def test_inadmissible_p0(self):
         with pytest.raises(InvalidP0):
             mn_rule(100, 0.5, 0.5)
+
+    @pytest.mark.parametrize("delta", ["0.5", True, float("nan")])
+    def test_non_real_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be a finite real number"):
+            mn_rule(100, 0.4, delta)
