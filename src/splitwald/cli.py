@@ -9,8 +9,10 @@ nonzero with a single machine-parsable ``ERROR:<Code>:`` line on stderr.
 
 import argparse
 import csv
+import io
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,41 +60,91 @@ def _parse_grid(text):
     return [v for v in values if v <= hi + 1e-12]
 
 
+def _count_lines(text):
+    """Lines in ``text`` as ``csv`` splits them: at ``\\r\\n``, ``\\r`` or ``\\n``."""
+    ends = text.count("\n")
+    if "\r" in text:
+        ends += text.count("\r") - text.count("\r\n")
+    return ends + (text[-1:] not in ("", "\r", "\n"))
+
+
 def _read_csv(path, y_col, x_cols):
+    """The ``y_col`` and ``x_cols`` columns of the CSV at ``path``, as floats.
+
+    The first row is the header. A cell is read as Python ``float()`` reads
+    it, quoted or padded with whitespace; other columns may hold anything.
+    A blank line or an empty or non-numeric cell is an error. A file with
+    only its header gives empty arrays, which ``splitwald test`` rejects as
+    ``TooFewRows``. Non-finite values parse here and are rejected later as
+    ``NonFiniteInput``.
+
+    One ``np.loadtxt`` call parses the body. Its result is kept only when it
+    has one row per line, since numpy skips blank lines; otherwise
+    :func:`_scan_rows` parses the same text again, and either names the bad
+    line or accepts cells such as ``1_000`` that ``float()`` reads and numpy
+    does not.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise SplitwaldError(f"input file not found: {path}") from None
+    cols = [y_col, *x_cols]
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise TooFewRows(f"{path}: empty file") from None
-        for col in [y_col, *x_cols]:
+        for col in cols:
             if col not in header:
                 raise ColumnMissing(f"{path}: column {col!r} not in header {header}")
-        idx = {col: header.index(col) for col in [y_col, *x_cols]}
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            values = []
-            for col in [y_col, *x_cols]:
-                cell = row[idx[col]].strip() if idx[col] < len(row) else ""
-                if cell == "":
-                    raise SplitwaldError(
-                        f"{path}: line {lineno}: missing value in column {col!r} "
-                        "(missing data is an error, not imputed)"
-                    )
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise SplitwaldError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r} "
-                        f"in column {col!r}"
-                    ) from None
-            rows.append(values)
-    arr = np.asarray(rows, dtype=np.float64)
+        body = fh.read()
+    usecols = [header.index(col) for col in cols]
+    try:
+        with warnings.catch_warnings():
+            # A header-only or all-blank body parses to no rows and warns;
+            # the row count below decides what that means.
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(
+                io.StringIO(body),
+                delimiter=",",
+                usecols=usecols,
+                dtype=np.float64,
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+            )
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[0] != _count_lines(body):
+        arr = _scan_rows(path, body, cols, usecols)
     return arr[:, 0], arr[:, 1:]
+
+
+def _scan_rows(path, body, cols, usecols):
+    """Parse ``body`` record by record with ``csv`` and ``float()``.
+
+    Raises a ``SplitwaldError`` naming the first line with a missing or
+    non-numeric cell, counting the header as line 1.
+    """
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        values = []
+        for col, i in zip(cols, usecols):
+            cell = row[i].strip() if i < len(row) else ""
+            if cell == "":
+                raise SplitwaldError(
+                    f"{path}: line {lineno}: missing value in column {col!r} "
+                    "(missing data is an error, not imputed)"
+                )
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise SplitwaldError(
+                    f"{path}: line {lineno}: non-numeric value {cell!r} "
+                    f"in column {col!r}"
+                ) from None
+        rows.append(values)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _statistic_config(args):

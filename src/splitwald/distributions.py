@@ -36,15 +36,13 @@ class ChiSquareParams:
 
 def normal_cdf(x):
     """Standard normal CDF."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    x = check_real("x", x)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_sf(x):
     """Upper tail ``1 - Phi(x)``, computed without cancellation."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    x = check_real("x", x)
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -178,9 +176,9 @@ def chisq_sf(x, params):
 def chisq_quantile(prob, df):
     """Inverse central chi-square CDF by bracketed bisection."""
     try:
-        prob = float(prob)
-    except (TypeError, ValueError):
-        raise InvalidProbability(f"prob must be a real number, got {prob!r}") from None
+        prob = check_real("prob", prob)
+    except ValueError as exc:
+        raise InvalidProbability(str(exc)) from None
     if not 0.0 < prob < 1.0:
         raise InvalidProbability(f"prob must lie in (0, 1), got {prob!r}")
     params = ChiSquareParams(df=df)

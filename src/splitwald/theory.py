@@ -148,6 +148,7 @@ def asymptotic_power(ncp, m, alpha):
     the central chi-square with ``M`` degrees of freedom. Equals ``alpha``
     exactly at ``ncp = 0``.
     """
+    alpha = check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     crit = chisq_quantile(1.0 - alpha, m)

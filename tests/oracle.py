@@ -9,18 +9,26 @@ library computes the same quantities for all draws at once in closed form
 ``simulate_oracle`` runs the data-generating recursions one time step at a
 time, all predictors together, as :func:`splitwald.simulate` did before it
 ran one AR recursion per series.
+
+``read_csv_oracle`` reads a `splitwald test` CSV one record at a time with
+``csv`` and ``float()``, as ``splitwald.cli._read_csv`` did before it parsed
+the body with one ``np.loadtxt`` call.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from splitwald import (
+    ColumnMissing,
     DegenerateVariance,
     InvalidLength,
     LengthMismatch,
     SimulatedSample,
+    SplitwaldError,
+    TooFewRows,
     draw_bernoulli_rows,
 )
 
@@ -160,3 +168,45 @@ def replication_bytes(spec):
     """Bytes that one replication takes in a :func:`splitwald.simulate_many`
     buffer: ``burn_in + n + 1`` rows of ``p + 1`` float64 values."""
     return (spec.burn_in + spec.n + 1) * (spec.p + 1) * 8
+
+
+def read_csv_oracle(path, y_col, x_cols):
+    """Record-by-record reference for ``splitwald.cli._read_csv``.
+
+    A header-only file raises ``IndexError`` here; the library returns empty
+    arrays for it instead.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise SplitwaldError(f"input file not found: {path}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooFewRows(f"{path}: empty file") from None
+        for col in [y_col, *x_cols]:
+            if col not in header:
+                raise ColumnMissing(f"{path}: column {col!r} not in header {header}")
+        idx = {col: header.index(col) for col in [y_col, *x_cols]}
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            values = []
+            for col in [y_col, *x_cols]:
+                cell = row[idx[col]].strip() if idx[col] < len(row) else ""
+                if cell == "":
+                    raise SplitwaldError(
+                        f"{path}: line {lineno}: missing value in column {col!r} "
+                        "(missing data is an error, not imputed)"
+                    )
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SplitwaldError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r} "
+                        f"in column {col!r}"
+                    ) from None
+            rows.append(values)
+    arr = np.asarray(rows, dtype=np.float64)
+    return arr[:, 0], arr[:, 1:]

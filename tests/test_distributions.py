@@ -47,6 +47,17 @@ class TestNormal:
         with pytest.raises(ValueError):
             normal_cdf(float("nan"))
 
+    @pytest.mark.parametrize("fn", [normal_cdf, normal_sf])
+    @pytest.mark.parametrize("x", ["1", True, np.bool_(True), float("inf")])
+    def test_non_real_x_rejected(self, fn, x):
+        # "1" raised TypeError and True was read as 1 before
+        with pytest.raises(ValueError, match="x must be a finite real number"):
+            fn(x)
+
+    @pytest.mark.parametrize("fn", [normal_cdf, normal_sf])
+    def test_integer_and_numpy_x_accepted(self, fn):
+        assert fn(1) == fn(np.int64(1)) == fn(np.float64(1.0)) == fn(1.0)
+
 
 class TestCentralChiSquare:
     def test_df2_closed_form(self):
@@ -216,3 +227,12 @@ class TestQuantile:
     def test_invalid_probability(self, p):
         with pytest.raises(InvalidProbability):
             chisq_quantile(p, 3)
+
+    @pytest.mark.parametrize("p", ["0.9", True, np.bool_(True), float("nan")])
+    def test_non_real_probability_rejected(self, p):
+        # "0.9" was read as 0.9 before
+        with pytest.raises(InvalidProbability, match="prob must be a finite real"):
+            chisq_quantile(p, 5)
+
+    def test_numpy_probability_accepted(self):
+        assert chisq_quantile(np.float64(0.9), 5) == chisq_quantile(0.9, 5)

@@ -150,6 +150,16 @@ class TestAsymptoticPower:
         assert power[-1] > 0.99
         assert increments[-1] < 1e-3
 
+    @pytest.mark.parametrize("alpha", ["0.1", True, float("nan")])
+    def test_non_real_alpha_rejected(self, alpha):
+        # "0.1" raised TypeError before
+        with pytest.raises(ValueError, match="alpha must be a finite real number"):
+            asymptotic_power(2.0, 5, alpha)
+
+    def test_numpy_alpha_accepted(self):
+        expected = asymptotic_power(2.0, 5, 0.1)
+        assert asymptotic_power(2.0, 5, np.float64(0.1)) == expected
+
     def test_never_below_size_on_grid(self):
         for q_inf in (0.0, 0.1, 0.5, 2.0):
             la = LocalAlternative(delta=[1.0], q_inf=q_inf, sigma_eta=1.7)
