@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dgp import PRESET_NAMES, preset
+from .dgp import PRESET_NAMES, PRESETS, preset
 from .errors import (
     ColumnMissing,
     InvalidGrid,
@@ -94,6 +94,8 @@ def _read_csv(path, y_col, x_cols):
             header = next(csv.reader(fh))
         except StopIteration:
             raise TooFewRows(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise SplitwaldError(f"{path}: line 1: {exc}") from None
         for col in cols:
             if col not in header:
                 raise ColumnMissing(f"{path}: column {col!r} not in header {header}")
@@ -124,26 +126,31 @@ def _scan_rows(path, body, cols, usecols):
     """Parse ``body`` record by record with ``csv`` and ``float()``.
 
     Raises a ``SplitwaldError`` naming the first line with a missing or
-    non-numeric cell, counting the header as line 1.
+    non-numeric cell, or with a record ``csv`` cannot read (such as a field
+    over its size limit), counting the header as line 1.
     """
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        values = []
-        for col, i in zip(cols, usecols):
-            cell = row[i].strip() if i < len(row) else ""
-            if cell == "":
-                raise SplitwaldError(
-                    f"{path}: line {lineno}: missing value in column {col!r} "
-                    "(missing data is an error, not imputed)"
-                )
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise SplitwaldError(
-                    f"{path}: line {lineno}: non-numeric value {cell!r} "
-                    f"in column {col!r}"
-                ) from None
-        rows.append(values)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            values = []
+            for col, i in zip(cols, usecols):
+                cell = row[i].strip() if i < len(row) else ""
+                if cell == "":
+                    raise SplitwaldError(
+                        f"{path}: line {lineno}: missing value in column {col!r} "
+                        "(missing data is an error, not imputed)"
+                    )
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SplitwaldError(
+                        f"{path}: line {lineno}: non-numeric value {cell!r} "
+                        f"in column {col!r}"
+                    ) from None
+            rows.append(values)
+    except csv.Error as exc:
+        raise SplitwaldError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -279,17 +286,12 @@ def _cmd_theory(args):
 
 def _cmd_presets(args):
     del args
-    for name in PRESET_NAMES:
-        if name.startswith("DGP1"):
-            spec = preset(name, 250, alpha1=1.0)
+    for name, (alpha, rho, theta0, theta1) in PRESETS.items():
+        if alpha is None:
             extras = "alpha1 and sigma_uv selectable; p=1"
         else:
-            spec = preset(name, 250)
-            extras = f"alphas={tuple(spec.alpha.tolist())}; p=3"
-        print(
-            f"{name}: rho={spec.rho}, theta0={spec.theta0}, theta1={spec.theta1}; "
-            f"{extras}"
-        )
+            extras = f"alphas={alpha}; p={len(alpha)}"
+        print(f"{name}: rho={rho}, theta0={theta0}, theta1={theta1}; {extras}")
     return EXIT_OK
 
 
@@ -384,10 +386,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplitwaldError as exc:
-        print(f"ERROR:{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (SplitwaldError, ValueError, OSError) as exc:
         print(f"ERROR:{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

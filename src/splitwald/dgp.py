@@ -64,7 +64,20 @@ OMEGA_THREE_PREDICTOR = np.array(
     ]
 )
 
-PRESET_NAMES = ("DGP1a", "DGP1b", "DGP1c", "DGP2a", "DGP2b", "DGP2c_i", "DGP2c_ii")
+# The benchmark scenarios: label -> (persistence exponents, or None for the
+# caller's alpha1; rho; theta0; theta1). A DGP1 scenario has one predictor
+# and shock covariance [[1, sigma_uv], [sigma_uv, 1]]; a DGP2 scenario has
+# three and OMEGA_THREE_PREDICTOR.
+PRESETS = {
+    "DGP1a": (None, 0.0, 2.5, 0.0),
+    "DGP1b": (None, 0.0, 2.5, 0.25),
+    "DGP1c": (None, 0.25, 2.5, 0.25),
+    "DGP2a": ((0.0, 0.0, 0.0), 0.0, 1.5, 0.25),
+    "DGP2b": ((0.75, 0.5, 0.25), 0.0, 1.5, 0.25),
+    "DGP2c_i": ((1.0, 1.0, 1.0), 0.0, 1.5, 0.25),
+    "DGP2c_ii": ((1.0, 1.0, 1.0), 0.25, 1.5, 0.25),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def cholesky_lower(omega):
@@ -341,25 +354,15 @@ def _sample(spec, state):
     return SimulatedSample(y=y, X_lagged=X_lagged, u=u)
 
 
-def _c_for(alpha):
-    # unit c throughout, except the purely stationary case where c = 0.5
-    # turns the recursion into an AR(1) with slope one-half
-    return np.where(np.asarray(alpha, dtype=np.float64) == 0.0, 0.5, 1.0)
-
-
 def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=200):
-    """Named benchmark scenario.
+    """Named benchmark scenario, with the parameters ``PRESETS`` gives it.
 
     Single-predictor scenarios (``DGP1a``, ``DGP1b``, ``DGP1c``) take the
     persistence exponent ``alpha1`` and the endogeneity parameter
     ``sigma_uv``: the covariance of the standardized shock pair
     ``(zeta_t, v_t)``, which has unit variances, so it doubles as their
-    correlation. ``DGP1a`` is homoskedastic with error variance 2.5 (there
-    ``u_t = zeta_t * sqrt(2.5)``, so ``sigma_uv`` is also the correlation
-    between ``u_t`` and ``v_t``); ``DGP1b`` adds ARCH, ``DGP1c`` adds error
-    autocorrelation 0.25 on top. The three-predictor scenarios carry a
-    fixed shock covariance and ARCH parameters (1.5, 0.25); ``DGP2c_ii``
-    adds error autocorrelation 0.25.
+    correlation. ``DGP1a`` has no ARCH (there ``u_t = zeta_t * sqrt(2.5)``,
+    so ``sigma_uv`` is also the correlation between ``u_t`` and ``v_t``).
     """
     key = str(name).replace("-", "_").lower()
     canonical = {p.lower(): p for p in PRESET_NAMES}
@@ -369,46 +372,30 @@ def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=2
         )
     label = canonical[key]
     phi0 = check_real("phi0", phi0)
-
-    if label.startswith("DGP1"):
+    alpha, rho, theta0, theta1 = PRESETS[label]
+    if alpha is None:
         if alpha1 is None:
             raise ValueError(f"{label} requires alpha1 (persistence exponent)")
         sigma_uv = -0.90 if sigma_uv is None else check_real("sigma_uv", sigma_uv)
-        alpha = np.array([check_real("alpha1", alpha1)])
-        common = dict(
-            n=n,
-            alpha=alpha,
-            c=_c_for(alpha),
-            phi0=phi0,
-            beta=beta,
-            burn_in=burn_in,
-            label=label,
-        )
-        omega = np.array([[1.0, sigma_uv], [sigma_uv, 1.0]])
-        if label == "DGP1a":
-            return DgpSpec(omega=omega, rho=0.0, theta0=2.5, theta1=0.0, **common)
-        rho = 0.25 if label == "DGP1c" else 0.0
-        return DgpSpec(omega=omega, rho=rho, theta0=2.5, theta1=0.25, **common)
-
-    if alpha1 is not None or sigma_uv is not None:
+        alpha = [check_real("alpha1", alpha1)]
+        omega = [[1.0, sigma_uv], [sigma_uv, 1.0]]
+    elif alpha1 is not None or sigma_uv is not None:
         raise ValueError(f"{label} has fixed persistence and shock covariance")
-    alphas = {
-        "DGP2a": np.array([0.0, 0.0, 0.0]),
-        "DGP2b": np.array([0.75, 0.50, 0.25]),
-        "DGP2c_i": np.array([1.0, 1.0, 1.0]),
-        "DGP2c_ii": np.array([1.0, 1.0, 1.0]),
-    }[label]
-    rho = 0.25 if label == "DGP2c_ii" else 0.0
+    else:
+        omega = OMEGA_THREE_PREDICTOR
+    alpha = np.array(alpha)
     return DgpSpec(
         n=n,
-        alpha=alphas,
-        c=_c_for(alphas),
+        alpha=alpha,
+        # unit c throughout, except the purely stationary case where c = 0.5
+        # turns the recursion into an AR(1) with slope one-half
+        c=np.where(alpha == 0.0, 0.5, 1.0),
         phi0=phi0,
         beta=beta,
-        omega=OMEGA_THREE_PREDICTOR.copy(),
+        omega=omega,
         rho=rho,
-        theta0=1.5,
-        theta1=0.25,
+        theta0=theta0,
+        theta1=theta1,
         burn_in=burn_in,
         label=label,
     )

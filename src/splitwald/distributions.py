@@ -84,17 +84,21 @@ def _upper_gamma_cf(a, x):
     raise NonConvergence(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
 
 
-def regularized_lower_gamma(a, x):
-    """P(a, x), the regularized lower incomplete gamma function."""
+def _gamma_tails(a, x):
+    """``(P(a, x), Q(a, x))``, the regularized incomplete gamma tails: the
+    series gives ``P`` below ``x = a + 1``, the continued fraction gives
+    ``Q`` from there, and the other tail is the complement."""
     if x <= 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < a + 1.0:
-        return min(_lower_gamma_series(a, x), 1.0)
-    return max(1.0 - _upper_gamma_cf(a, x), 0.0)
+        lower = min(_lower_gamma_series(a, x), 1.0)
+        return lower, 1.0 - lower
+    upper = min(_upper_gamma_cf(a, x), 1.0)
+    return 1.0 - upper, upper
 
 
 def _central_chisq_cdf(x, df):
-    return regularized_lower_gamma(0.5 * df, 0.5 * x)
+    return _gamma_tails(0.5 * df, 0.5 * x)[0]
 
 
 def _noncentral_chisq_cdf(x, df, ncp):
@@ -144,10 +148,7 @@ def chisq_cdf(x, params):
     incomplete gamma evaluation; the noncentral mixture is truncated once
     the unexplored Poisson weight falls below 1e-12.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        return 0.0
+    x = check_real("x", x)
     if params.ncp == 0.0:
         return _central_chisq_cdf(x, params.df)
     return _noncentral_chisq_cdf(x, params.df, params.ncp)
@@ -160,16 +161,9 @@ def chisq_sf(x, params):
     directly, so tiny tail probabilities do not vanish to zero through
     ``1 - cdf`` cancellation.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        return 1.0
+    x = check_real("x", x)
     if params.ncp == 0.0:
-        a = 0.5 * params.df
-        half = 0.5 * x
-        if half < a + 1.0:
-            return max(1.0 - _lower_gamma_series(a, half), 0.0)
-        return min(_upper_gamma_cf(a, half), 1.0)
+        return _gamma_tails(0.5 * params.df, 0.5 * x)[1]
     return 1.0 - _noncentral_chisq_cdf(x, params.df, params.ncp)
 
 

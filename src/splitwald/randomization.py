@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLength, InvalidP0, check_real
+from .errors import InvalidLength, InvalidP0, check_integer, check_real
 
 # Admissible success probabilities: [0.30, 0.70] minus a guard band around
 # one-half where the weight variance degenerates.
@@ -79,19 +79,14 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, np.integer))
-                or not 0 <= int(value) < _U64
-            ):
+            value = check_integer(name, getattr(self, name), 0)
+            if value >= _U64:
                 raise ValueError(
                     f"{name} must be an unsigned 64-bit integer, got {value!r}"
                 )
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "path", tuple(int(k) for k in self.path))
-        if any(k < 0 for k in self.path):
-            raise ValueError(f"path elements must be nonnegative, got {self.path!r}")
+            object.__setattr__(self, name, value)
+        path = tuple(check_integer("path element", k, 0) for k in self.path)
+        object.__setattr__(self, "path", path)
 
     def seed_sequence(self):
         return np.random.SeedSequence(
@@ -126,10 +121,11 @@ def draw_bernoulli_rows(n, p0, m, seed):
     ones) is redrawn, in row order, from the continuation of the stream, so
     every returned row is mixed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidLength(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidLength(f"m must be an integer >= 1, got {m!r}")
+    try:
+        n = check_integer("n", n, 2)
+        m = check_integer("m", m, 1)
+    except ValueError as exc:
+        raise InvalidLength(str(exc)) from None
     p0 = check_p0(p0)
     # The uniform of a raw 64-bit word x is (x >> 11) * 2**-53, so it is
     # below p0 exactly when x < ceil(p0 * 2**53) * 2**11. Comparing the raw

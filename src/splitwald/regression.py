@@ -140,20 +140,15 @@ class DesignFactor:
                 f"augmented design is rank-deficient (rcond(X'X)={rcond:.3e}); "
                 "check for collinear predictors"
             )
-        self._theta = None
+        self.theta_hat = np.linalg.solve(self.rmat, self.q.T @ data.y)
 
     def _finish(self, theta):
         residuals = self.data.y - self.Xt @ theta
         sigma2 = float(residuals @ residuals) / self.data.n
         return RegressionFit(theta_hat=theta, residuals=residuals, sigma2_hat=sigma2)
 
-    def theta_unrestricted(self):
-        if self._theta is None:
-            self._theta = np.linalg.solve(self.rmat, self.q.T @ self.data.y)
-        return self._theta
-
     def unrestricted(self):
-        return self._finish(self.theta_unrestricted())
+        return self._finish(self.theta_hat)
 
     def restricted(self, restriction):
         """Project the unrestricted estimate onto the restricted subspace.
@@ -168,7 +163,7 @@ class DesignFactor:
             raise SingularRestriction(
                 f"restriction acts on {restriction.p} slopes but data has {self.data.p}"
             )
-        theta = self.theta_unrestricted()
+        theta = self.theta_hat
         Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
         # A^{-1} Rt' through the triangular factor: two small solves
         ainv_rt = np.linalg.solve(self.rmat, np.linalg.solve(self.rmat.T, Rt.T))

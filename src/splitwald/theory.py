@@ -90,6 +90,8 @@ class LocalAlternative:
         if self.alpha is None:
             self.alpha = np.zeros_like(self.delta)
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
+        self.q_inf = check_real("q_inf", self.q_inf)
+        self.sigma_eta = check_real("sigma_eta", self.sigma_eta)
         if self.sigma_eta <= 0:
             raise ValueError(f"sigma_eta must be positive, got {self.sigma_eta!r}")
         if self.q_inf < 0:
@@ -114,8 +116,7 @@ class LocalAlternative:
 def ncp_general(p0, m, la):
     """Noncentrality parameter ``M * f(p0) * (q_inf / sigma_eta)^2``."""
     p0 = check_p0(p0)
-    if m < 1:
-        raise ValueError(f"M must be >= 1, got {m!r}")
+    m = check_integer("m", m, 1)
     return m * f_p0(p0) * (la.q_inf / la.sigma_eta) ** 2
 
 
@@ -125,6 +126,7 @@ def ncp_ar1(p0, m, delta1, sigma2_v, sigma2_u, phi1, kurtosis_u):
     ``M f(p0) delta1^4 (sigma2_v / sigma2_u)^2 / ((1 - phi1^2)^2 (Ku - 1))``.
     """
     p0 = check_p0(p0)
+    m = check_integer("m", m, 1)
     if abs(phi1) >= 1:
         raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
     if kurtosis_u <= 1:

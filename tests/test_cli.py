@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from splitwald import SeedSpec
+from splitwald import SeedSpec, preset
 from splitwald.cli import main
 
 
@@ -232,9 +232,38 @@ class TestMisc:
 
     def test_presets_listing(self, capsys):
         assert run_cli(["presets"]) == 0
-        out = capsys.readouterr().out
-        for name in ("DGP1a", "DGP1b", "DGP1c", "DGP2a", "DGP2b", "DGP2c_i", "DGP2c_ii"):
-            assert name in out
+        assert capsys.readouterr().out == (
+            "DGP1a: rho=0.0, theta0=2.5, theta1=0.0; alpha1 and sigma_uv selectable; p=1\n"
+            "DGP1b: rho=0.0, theta0=2.5, theta1=0.25; alpha1 and sigma_uv selectable; p=1\n"
+            "DGP1c: rho=0.25, theta0=2.5, theta1=0.25; alpha1 and sigma_uv selectable; p=1\n"
+            "DGP2a: rho=0.0, theta0=1.5, theta1=0.25; alphas=(0.0, 0.0, 0.0); p=3\n"
+            "DGP2b: rho=0.0, theta0=1.5, theta1=0.25; alphas=(0.75, 0.5, 0.25); p=3\n"
+            "DGP2c_i: rho=0.0, theta0=1.5, theta1=0.25; alphas=(1.0, 1.0, 1.0); p=3\n"
+            "DGP2c_ii: rho=0.25, theta0=1.5, theta1=0.25; alphas=(1.0, 1.0, 1.0); p=3\n"
+        )
+        # what each listed scenario builds: (alpha, c, rho, theta0, theta1)
+        dgp1 = [[1.0, -0.9], [-0.9, 1.0]]
+        dgp2 = [
+            [1.0350, -0.9726, -0.7408, -0.4943],
+            [-0.9726, 1.0214, 0.5072, 0.2545],
+            [-0.7408, 0.5072, 1.0024, 0.5015],
+            [-0.4943, 0.2545, 0.5015, 1.0009],
+        ]
+        expected = {
+            ("DGP1a", 0.0): ([0.0], [0.5], 0.0, 2.5, 0.0, dgp1),
+            ("DGP1a", 1.0): ([1.0], [1.0], 0.0, 2.5, 0.0, dgp1),
+            ("DGP1b", 0.5): ([0.5], [1.0], 0.0, 2.5, 0.25, dgp1),
+            ("DGP1c", 1.0): ([1.0], [1.0], 0.25, 2.5, 0.25, dgp1),
+            ("DGP2a", None): ([0.0] * 3, [0.5] * 3, 0.0, 1.5, 0.25, dgp2),
+            ("DGP2b", None): ([0.75, 0.5, 0.25], [1.0] * 3, 0.0, 1.5, 0.25, dgp2),
+            ("DGP2c_i", None): ([1.0] * 3, [1.0] * 3, 0.0, 1.5, 0.25, dgp2),
+            ("DGP2c_ii", None): ([1.0] * 3, [1.0] * 3, 0.25, 1.5, 0.25, dgp2),
+        }
+        for (name, alpha1), (alpha, c, rho, theta0, theta1, omega) in expected.items():
+            spec = preset(name, 250, alpha1=alpha1)
+            assert (spec.alpha.tolist(), spec.c.tolist()) == (alpha, c)
+            assert (spec.rho, spec.theta0, spec.theta1) == (rho, theta0, theta1)
+            assert spec.omega.tolist() == omega
 
     def test_version_embeds_build_identifier(self, capsys):
         from splitwald import __version__

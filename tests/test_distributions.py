@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,18 @@ from splitwald import (
 )
 from splitwald.randomization import P0_HIGH, P0_LOW
 
+# The functions of one real x: the normal tails and the chi-square(3) tails.
+X_FUNCTIONS = [
+    normal_cdf,
+    normal_sf,
+    pytest.param(
+        functools.partial(chisq_cdf, params=ChiSquareParams(df=3)), id="chisq_cdf"
+    ),
+    pytest.param(
+        functools.partial(chisq_sf, params=ChiSquareParams(df=3)), id="chisq_sf"
+    ),
+]
+
 
 class TestNormal:
     def test_symmetry_at_zero(self):
@@ -47,14 +60,14 @@ class TestNormal:
         with pytest.raises(ValueError):
             normal_cdf(float("nan"))
 
-    @pytest.mark.parametrize("fn", [normal_cdf, normal_sf])
+    @pytest.mark.parametrize("fn", X_FUNCTIONS)
     @pytest.mark.parametrize("x", ["1", True, np.bool_(True), float("inf")])
     def test_non_real_x_rejected(self, fn, x):
         # "1" raised TypeError and True was read as 1 before
         with pytest.raises(ValueError, match="x must be a finite real number"):
             fn(x)
 
-    @pytest.mark.parametrize("fn", [normal_cdf, normal_sf])
+    @pytest.mark.parametrize("fn", X_FUNCTIONS)
     def test_integer_and_numpy_x_accepted(self, fn):
         assert fn(1) == fn(np.int64(1)) == fn(np.float64(1.0)) == fn(1.0)
 
@@ -77,6 +90,11 @@ class TestCentralChiSquare:
 
     def test_negative_x_is_zero(self):
         assert chisq_cdf(-1.0, ChiSquareParams(3)) == 0.0
+
+    def test_smallest_subnormal_x(self):
+        # x / 2 rounds to 0; chisq_sf raised "math domain error" here before
+        assert chisq_cdf(5e-324, ChiSquareParams(3)) == 0.0
+        assert chisq_sf(5e-324, ChiSquareParams(3)) == 1.0
 
     @pytest.mark.parametrize("df", [1, 5, 20, 57])
     def test_nondecreasing_and_bounded(self, df):

@@ -86,7 +86,7 @@ class TestRows:
         ws = draw_bernoulli_weights(200, p0, SeedSpec(3))
         np.testing.assert_array_equal(ws.b, b[0])
 
-    @pytest.mark.parametrize("m", [0, -1, 2.0])
+    @pytest.mark.parametrize("m", [0, -1, 2.0, True])
     def test_invalid_row_count(self, m):
         with pytest.raises(InvalidLength):
             draw_bernoulli_rows(10, 0.4, m, SeedSpec(0))
@@ -139,12 +139,18 @@ class TestSeedSpec:
         assert np.abs(off).max() < 0.30  # 256 samples: |r| ~ N(0, 1/16)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SeedSpec(-1)
-        with pytest.raises(ValueError):
-            SeedSpec(2**64)
-        with pytest.raises(ValueError):
-            SeedSpec(1.5)
+        for args in [(-1,), (2**64,), (1.5,), (True,), ("3",), (0, 2**64), (0, True)]:
+            with pytest.raises(ValueError):
+                SeedSpec(*args)
+
+    @pytest.mark.parametrize("key", [1.7, True, "3", np.bool_(True), -1])
+    def test_non_integer_path_element_rejected(self, key):
+        # 1.7 and True were read as the stream of child(1), "3" as child(3)
+        with pytest.raises(ValueError, match="path element must be an integer"):
+            SeedSpec(5).child(key)
+
+    def test_numpy_integer_path_element_is_the_same_stream(self):
+        assert SeedSpec(5).child(np.int64(2)) == SeedSpec(5).child(2)
 
     def test_describe_round_trip(self):
         spec = SeedSpec(5, 2).child(3, 4)

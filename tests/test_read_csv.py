@@ -123,6 +123,24 @@ class TestCorpus:
         err = capsys.readouterr().err
         assert err.startswith("ERROR:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("y,x1,n" + "a" * 200_000 + "\n1,2,3\n3,4,5\n", 1),
+            # the non-numeric cell sends the body to the row scanner
+            ("y,x1,note\n1,2," + "a" * 200_000 + "\nabc,4,c\n", 2),
+        ],
+        ids=["header", "body"],
+    )
+    def test_field_over_csv_limit_exits_2_with_one_error_line(
+        self, tmp_path, capsys, text, line
+    ):
+        path = write(tmp_path / "big.csv", text)
+        assert cli.main(["test", str(path), "--y", "y", "--x", "x1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:SplitwaldError: {path}: line {line}: field larger")
+        assert err.count("\n") == 1
+
     def test_header_only_gives_empty_arrays_without_a_warning(self, tmp_path, capsys):
         path = write(tmp_path / "header-only.csv", "y,x1,x2\n")
         with pytest.raises(IndexError):  # the oracle's crash

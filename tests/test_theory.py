@@ -129,6 +129,23 @@ class TestNoncentrality:
         with pytest.raises(InvalidKurtosis):
             ncp_ar1(0.4, 1, 1.0, 1.0, 1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("m", [0, -3, 2.5, True])
+    def test_draw_count_must_be_a_positive_integer(self, m):
+        # ncp_ar1 returned 0 at m=0 and -10.24 at m=-3, and took 2.5 and True
+        la = LocalAlternative(delta=[0.2], q_inf=0.8, sigma_eta=1.5)
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            ncp_ar1(0.4, m, 0.6, 1.0, 1.0, 0.5, 3.0)
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            ncp_general(0.4, m, la)
+
+    @pytest.mark.parametrize("field", ["q_inf", "sigma_eta"])
+    @pytest.mark.parametrize("value", [float("nan"), "1", True])
+    def test_local_alternative_reals_checked(self, field, value):
+        # NaN was accepted and "1" raised TypeError
+        kwargs = {"delta": [0.2], "q_inf": 0.8, "sigma_eta": 1.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            LocalAlternative(**kwargs)
+
 
 class TestAsymptoticPower:
     def test_size_at_null(self):
