@@ -15,7 +15,10 @@ def check_integer(name, value, low):
     Python and numpy integers pass; ``bool``, floats and strings raise
     ``ValueError`` naming ``name``, so no count is silently rounded.
     """
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int skips the slow ABC check; bool is not type int
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
     if not integral or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)

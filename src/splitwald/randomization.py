@@ -9,12 +9,17 @@ stream via :class:`numpy.random.SeedSequence`, and ``child(...)`` derives
 statistically independent sub-streams for nested consumers (replications,
 data channels, a test's Bernoulli draws).
 
-Stream layout 2: the ``M`` Bernoulli draws of one test are the rows of one
-``(M, n)`` block of uniforms from the Philox stream at the test's seed, row
-``j - 1`` holding draw ``j``. A row that comes out all zeros or all ones is
-redrawn, in row order, from the continuation of that same stream. Philox is
-counter-based, so the rows are independent and addressable without a
-generator per draw.
+Stream layout 3: the ``M`` Bernoulli draws of one test are the rows of one
+``(M, n)`` block, row ``j - 1`` holding draw ``j``. The block is filled in
+row-major order from consecutive 32-bit halves of the 64-bit words of the
+Philox stream at the test's seed: each word's low half gives one draw and
+its high half the next. A half ``h`` draws a one exactly when
+``h < ceil(p0 * 2**32)``, so P(one) exceeds ``p0`` by less than ``2**-32``.
+When ``M * n`` is odd, the last word's high half is discarded. A row that
+comes out all zeros or all ones is redrawn, in row order, from the
+continuation of that same stream, each attempt taking ``ceil(n / 2)`` fresh
+words. Philox is counter-based, so the rows are independent and addressable
+without a generator per draw.
 """
 
 import math
@@ -32,7 +37,12 @@ P0_HALF_GAP = 0.02
 
 # Version of the mapping from seeds to Bernoulli draws described above;
 # recorded in test outcomes and report metadata.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
+
+# Stream words fetched at a time while filling a block of draws (1 MiB). The
+# words continue one stream, so the draws do not depend on it; it bounds the
+# draws' memory to the block plus this buffer.
+DRAW_BLOCK_WORDS = 2**17
 
 _U64 = 2**64
 
@@ -112,32 +122,51 @@ class SeedSpec:
         }
 
 
+def _half_threshold(p0):
+    """``ceil(p0 * 2**32)``: a 32-bit half ``h`` draws a one iff ``h`` is below it.
+
+    Scaling by a power of two is exact, so ``h < ceil(p0 * 2**32)`` holds
+    exactly when ``h * 2**-32 < p0``.
+    """
+    return math.ceil(p0 * 2.0**32)
+
+
+def _fill_draws(out, bits, threshold):
+    """Set the 1-D float64 ``out`` to the draws of the next stream halves.
+
+    Takes ``ceil(out.size / 2)`` words, at most :data:`DRAW_BLOCK_WORDS` at
+    a time, and discards the last high half when ``out.size`` is odd.
+    """
+    step = 2 * DRAW_BLOCK_WORDS
+    for start in range(0, out.size, step):
+        part = out[start : start + step]
+        words = bits.random_raw((part.size + 1) // 2)
+        # low half first on any host: the words as little-endian bytes
+        halves = words.astype("<u8", copy=False).view("<u4")
+        np.less(halves[: part.size], threshold, out=part)
+        del words, halves  # free this block before the next one is drawn
+
+
 def draw_bernoulli_rows(n, p0, m, seed):
     """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the stream at ``seed``.
 
     Returns the ``(m, n)`` 0/1 float64 matrix and its row counts, for
-    ``n >= 2`` and ``m >= 1``. The draws are compared in place, so no
-    second ``(m, n)`` array is made. A degenerate row (all zeros or all
-    ones) is redrawn, in row order, from the continuation of the stream, so
-    every returned row is mixed.
+    ``n >= 2`` and ``m >= 1``, under stream layout 3 (see the module
+    docstring). Besides the matrix, the draws hold at most one block of
+    :data:`DRAW_BLOCK_WORDS` stream words. Every returned row is mixed.
     """
     try:
         n = check_integer("n", n, 2)
         m = check_integer("m", m, 1)
     except ValueError as exc:
         raise InvalidLength(str(exc)) from None
-    p0 = check_p0(p0)
-    # The uniform of a raw 64-bit word x is (x >> 11) * 2**-53, so it is
-    # below p0 exactly when x < ceil(p0 * 2**53) * 2**11. Comparing the raw
-    # words therefore gives the same rows as comparing the uniforms.
-    threshold = np.uint64(math.ceil(p0 * 2.0**53) << 11)
+    threshold = np.uint32(_half_threshold(check_p0(p0)))
     bits = seed.generator().bit_generator
-    raw = bits.random_raw((m, n))
-    b = raw.view(np.float64)
-    np.less(raw, threshold, out=b, casting="unsafe")
+    b = np.empty((m, n))
+    _fill_draws(b.reshape(-1), bits, threshold)
     counts = b.sum(axis=1)
     for j in np.flatnonzero((counts == 0.0) | (counts == n)):
         while not 0.0 < counts[j] < n:
-            np.less(bits.random_raw(n), threshold, out=b[j], casting="unsafe")
+            _fill_draws(b[j], bits, threshold)
             counts[j] = b[j].sum()
     return b, counts

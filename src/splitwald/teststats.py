@@ -10,11 +10,11 @@ whose studentized squared mean is the single-shot statistic. Summing over
 null; its centered and scaled version ``(S_M - M) / sqrt(2 M)`` is standard
 normal when ``M`` grows with the sample (but slower than it).
 
-The ``M`` draws are the rows of one Bernoulli block (stream layout 2, see
-:mod:`splitwald.randomization`). The weights take two values per row, so
-every row's mean and variance of ``d`` are closed forms in three masked
-sums, and one ``(M, n) @ (n, 3)`` product gives all ``M`` statistics
-without forming any ``d``.
+The ``M`` draws are the rows of one Bernoulli block (stream layout 3, two
+draws per Philox word, see :mod:`splitwald.randomization`). The weights
+take two values per row, so every row's mean and variance of ``d`` are
+closed forms in three masked sums, and one ``(M, n) @ (n, 3)`` product
+gives all ``M`` statistics without forming any ``d``.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
@@ -221,7 +221,7 @@ def run_test(data, restriction, cfg, seed):
 
     Fits the restricted and unrestricted regressions once, draws the ``M``
     Bernoulli rows from the one stream at ``seed`` (draw ``j`` is row
-    ``j - 1``, stream layout 2), computes every single-shot statistic with
+    ``j - 1``, stream layout 3), computes every single-shot statistic with
     :func:`draw_statistics`, aggregates them and returns the outcome:
     chi-square(M) upper-tail p-value in fixed-M mode, two-sided
     standard-normal p-value for the centered-scaled statistic in growing-M

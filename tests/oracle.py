@@ -6,6 +6,12 @@ draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
 (:func:`splitwald.draw_statistics`).
 
+``bernoulli_rows_oracle`` defines stream layout 3 arithmetically: it splits
+each stream word into its low and high 32-bit halves with Python integers and
+compares each half with ``ceil(p0 * 2**32)`` in exact rational arithmetic,
+one draw at a time, as :func:`splitwald.draw_bernoulli_rows` does for a whole
+block through a 32-bit view of the words.
+
 ``simulate_oracle`` runs the data-generating recursions one time step at a
 time, all predictors together, as :func:`splitwald.simulate` did before it
 ran one AR recursion per series.
@@ -18,6 +24,7 @@ the body with one ``np.loadtxt`` call.
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,6 +77,32 @@ def draw_bernoulli_weights(n, p0, seed):
     """
     b, _ = draw_bernoulli_rows(n, p0, 1, seed)
     return WeightSequence.from_draws(b[0], p0)
+
+
+def bernoulli_rows_oracle(n, p0, m, seed):
+    """Draw-by-draw reference for :func:`splitwald.draw_bernoulli_rows`.
+
+    The ``m * n`` draws take consecutive 32-bit halves of the stream words,
+    low half first, in row-major order; a half ``h`` is a one exactly when
+    ``h < ceil(p0 * 2**32)``. A degenerate row is redrawn, in row order,
+    from ``ceil(n / 2)`` fresh words per attempt. An odd count of halves
+    drops the last word's high half.
+    """
+    threshold = math.ceil(Fraction(p0) * 2**32)
+    bits = seed.generator().bit_generator
+
+    def draws(count):
+        halves = []
+        for x in bits.random_raw((count + 1) // 2).tolist():
+            halves += [x & 0xFFFFFFFF, x >> 32]
+        return [1.0 if h < threshold else 0.0 for h in halves[:count]]
+
+    flat = draws(m * n)
+    rows = [flat[j * n : (j + 1) * n] for j in range(m)]
+    for j in range(m):
+        while sum(rows[j]) in (0, n):
+            rows[j] = draws(n)
+    return np.array(rows, dtype=np.float64)
 
 
 @dataclass

@@ -40,7 +40,7 @@ class TestTestCommand:
         assert doc["m"] == 5
         assert doc["seed"]["master_seed"] == 7
         assert len(doc["per_draw"]) == 5
-        assert doc["stream_layout"] == 2
+        assert doc["stream_layout"] == 3
 
     def test_same_seed_same_p_value(self, sample_csv, capsys):
         run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--seed", "0x2A"])
@@ -132,7 +132,7 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         assert doc["cells"][0]["reps"] == 120
         assert doc["metadata"]["master_seed"] == 13
-        assert doc["metadata"]["stream_layout"] == 2
+        assert doc["metadata"]["stream_layout"] == 3
 
     def test_bad_plan_exit_code(self, tmp_path, capsys):
         plan = tmp_path / "bad.plan"

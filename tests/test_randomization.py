@@ -1,11 +1,17 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitwald import InvalidLength, InvalidP0, SeedSpec, check_p0, draw_bernoulli_rows
+from splitwald import randomization
+from splitwald.errors import check_integer
+from splitwald.randomization import P0_HIGH, P0_LOW, _half_threshold
 
-from oracle import WeightSequence, draw_bernoulli_weights
+from oracle import WeightSequence, bernoulli_rows_oracle, draw_bernoulli_weights
 
 
 class TestWeights:
@@ -60,19 +66,16 @@ class TestRows:
         assert b.shape == (m, n) and b.dtype == np.float64
         assert np.all((counts > 0) & (counts < n))
         np.testing.assert_array_equal(counts, b.sum(axis=1))
+        np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, seed))
 
-        # replay stream layout 2: the (m, n) block, then one continuation
-        # row per attempt for each degenerate row, in row order
-        gen = seed.generator()
-        expected = (gen.random((m, n)) < p0).astype(np.float64)
-        redrawn = [j for j in range(m) if expected[j].sum() in (0, n)]
-        assert len(redrawn) >= 8
-        for j in redrawn:
-            row = gen.random(n) < p0
-            while row.sum() in (0, n):
-                row = gen.random(n) < p0
-            expected[j] = row
-        np.testing.assert_array_equal(b, expected)
+        # the first pass is the block of the first m*n/2 words' halves; only
+        # its degenerate rows are replaced
+        words = seed.generator().bit_generator.random_raw(m * n // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(m, n)
+        first = halves < _half_threshold(p0)
+        redrawn = np.isin(first.sum(axis=1), (0, n))
+        assert redrawn.sum() >= 8
+        np.testing.assert_array_equal(b[~redrawn], first[~redrawn])
 
         again, again_counts = draw_bernoulli_rows(n, p0, m, seed)
         assert again.tobytes() == b.tobytes()
@@ -81,10 +84,69 @@ class TestRows:
     @pytest.mark.parametrize("p0", [0.30, 0.1 + 0.2, 0.42, 0.58, 0.70, 2.0 / 3.0])
     def test_rows_are_the_stream_uniforms_below_p0(self, p0):
         b, _ = draw_bernoulli_rows(200, p0, 30, SeedSpec(3))
-        uniforms = SeedSpec(3).generator().random((30, 200))
-        np.testing.assert_array_equal(b, uniforms < p0)
+        np.testing.assert_array_equal(b, bernoulli_rows_oracle(200, p0, 30, SeedSpec(3)))
+        # each half h is the 32-bit uniform h * 2**-32, low half first
+        words = SeedSpec(3).generator().bit_generator.random_raw(30 * 100)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1)
+        np.testing.assert_array_equal(b.ravel(), halves.ravel() * 2.0**-32 < p0)
         ws = draw_bernoulli_weights(200, p0, SeedSpec(3))
         np.testing.assert_array_equal(ws.b, b[0])
+
+    @pytest.mark.parametrize(
+        "n, p0, m", [(7, 0.42, 3), (3, 0.30, 41), (5, 0.70, 9), (2, 0.30, 1)]
+    )
+    def test_odd_half_counts_discard_the_last_high_half(self, n, p0, m):
+        # odd m*n, or an odd n whose redraws each take ceil(n/2) words
+        for k in range(25):
+            b, _ = draw_bernoulli_rows(n, p0, m, SeedSpec(4, k))
+            np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, SeedSpec(4, k)))
+
+    def test_block_spanning_several_word_blocks(self):
+        # 300 x 1001 draws take 150,150 words: two blocks
+        n, m = 1001, 300
+        assert m * n > 2 * randomization.DRAW_BLOCK_WORDS
+        b, _ = draw_bernoulli_rows(n, 0.40, m, SeedSpec(6))
+        np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, 0.40, m, SeedSpec(6)))
+
+    @pytest.mark.parametrize("n, p0, m", [(7, 0.42, 5), (3, 0.30, 41), (2, 0.30, 9)])
+    def test_block_size_does_not_change_the_draws(self, monkeypatch, n, p0, m):
+        monkeypatch.setattr(randomization, "DRAW_BLOCK_WORDS", 1)
+        for k in range(10):
+            b, _ = draw_bernoulli_rows(n, p0, m, SeedSpec(5, k))
+            np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, SeedSpec(5, k)))
+
+    def test_half_threshold_is_within_two_to_the_minus_32_above_p0(self):
+        for p0 in [*np.linspace(P0_LOW, P0_HIGH, 401).tolist(), 0.1 + 0.2, 2.0 / 3.0]:
+            threshold = _half_threshold(p0)
+            assert type(threshold) is int and threshold < 2**32, p0
+            excess = Fraction(threshold, 2**32) - Fraction(p0)
+            assert 0 <= excess < Fraction(1, 2**32), p0
+
+    def test_a_half_equal_to_the_threshold_draws_a_zero(self):
+        class Words:  # a stream of chosen words
+            def __init__(self, words):
+                self.words = np.array(words, dtype=np.uint64)
+
+            def random_raw(self, size):
+                out, self.words = self.words[:size], self.words[size:]
+                return out
+
+        t = _half_threshold(0.40)
+        out = np.empty(3)
+        # halves t - 1, t, 0 and a discarded 2**32 - 1
+        words = [(t << 32) | (t - 1), (0xFFFFFFFF << 32) | 0]
+        randomization._fill_draws(out, Words(words), np.uint32(t))
+        assert out.tolist() == [1.0, 0.0, 1.0]
+
+    def test_peak_memory_is_the_block_plus_one_word_block(self):
+        draw_bernoulli_rows(2, 0.40, 1, SeedSpec(2))  # first-call imports
+        tracemalloc.start()
+        try:
+            b, _ = draw_bernoulli_rows(10001, 0.40, 300, SeedSpec(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= b.nbytes + 8 * randomization.DRAW_BLOCK_WORDS + 64 * 1024
 
     @pytest.mark.parametrize("m", [0, -1, 2.0, True])
     def test_invalid_row_count(self, m):
@@ -148,6 +210,13 @@ class TestSeedSpec:
         # 1.7 and True were read as the stream of child(1), "3" as child(3)
         with pytest.raises(ValueError, match="path element must be an integer"):
             SeedSpec(5).child(key)
+
+    def test_check_integer_takes_numpy_integers_but_not_flags(self):
+        value = check_integer("x", np.uint64(2**63), 0)
+        assert value == 2**63 and type(value) is int
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="x must be an integer >= 0"):
+                check_integer("x", flag, 0)
 
     def test_numpy_integer_path_element_is_the_same_stream(self):
         assert SeedSpec(5).child(np.int64(2)) == SeedSpec(5).child(2)

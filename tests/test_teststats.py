@@ -227,7 +227,7 @@ class TestRunTest:
 
         unres = fit_unrestricted(data)
         res = fit_restricted(data, Restriction.all_slopes(1))
-        # stream layout 2: the only draw is row 0 of the stream at `seed`
+        # stream layout 3: the only draw is row 0 of the block drawn at `seed`
         ws = draw_bernoulli_weights(data.n, 0.40, seed)
         d = compute_d_sequence(
             res.residuals**2, unres.residuals**2, unres.sigma2_hat, ws
