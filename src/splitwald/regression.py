@@ -2,12 +2,20 @@
 
 Fits ``y_t = mu + beta' x_{t-1} + u_t`` (the intercept is always estimated)
 and the same model subject to ``R beta = 0`` with the intercept left free.
-Solutions go through an orthogonal (QR) factorization of the augmented
-design rather than explicit normal-equation inversion: near-integrated
-predictors make ``X'X`` badly conditioned at the sample sizes this package
-targets. Both fits can share one factorization via :class:`DesignFactor`.
+Solutions go through an orthogonal (QR) factorization rather than explicit
+normal-equation inversion: near-integrated predictors make ``X'X`` badly
+conditioned at the sample sizes this package targets.
+
+One path fits a whole stack of replications: :class:`DesignStack` centres
+each replication's ``y`` and ``X``, which takes the intercept out, and
+factors the centred predictors with one stacked QR that both fits share.
+The restricted fit regresses on the predictors times a null-space basis of
+``R``, which the :class:`Restriction` computes once. The Monte Carlo harness
+fits a sub-block of replications per call; :func:`fit_unrestricted` and
+:func:`fit_restricted` are its one-replication case.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +47,7 @@ class RegressionData:
             raise ValueError(
                 f"y has {self.y.shape[0]} rows but X has {self.X.shape[0]}"
             )
-        if self.n < self.p + 2:
-            raise ValueError(f"need n >= p + 2, got n={self.n}, p={self.p}")
+        _check_size(self.n, self.p)
         if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise NonFiniteInput("y and X must not contain NaN or infinite entries")
 
@@ -76,9 +83,11 @@ class Restriction:
         r, p = R.shape
         if not 1 <= r <= p:
             raise SingularRestriction(f"need 1 <= r <= p, got shape {R.shape}")
-        s = np.linalg.svd(R, compute_uv=False)
+        _, s, vt = np.linalg.svd(R)
         if s[-1] <= 1e-12 * s[0]:
             raise SingularRestriction("restriction matrix is rank-deficient")
+        # (p, p - r) orthonormal basis of the slopes that satisfy R beta = 0
+        self.null_basis = vt[r:].T
 
     @property
     def r(self):
@@ -123,65 +132,106 @@ class RegressionFit:
     sigma2_hat: float
 
 
-class DesignFactor:
-    """QR factorization of the augmented design, shared by both fits."""
+class DesignStack:
+    """Centred QR of a stack of designs, shared by both fits.
 
-    def __init__(self, data):
-        self.data = data
-        Xt = data.design()
-        self.Xt = Xt
-        self.q, self.rmat = np.linalg.qr(Xt, mode="reduced")
-        # Singular values of the small triangular factor equal those of the
-        # design itself; rcond of X'X is their squared ratio.
-        s = np.linalg.svd(self.rmat, compute_uv=False)
-        rcond = (s[-1] / s[0]) ** 2 if s[0] > 0 else 0.0
-        if rcond < RCOND_TOL:
+    ``y`` is ``(R, n)`` and ``X`` is ``(R, n, p)``; replication ``i`` is the
+    sample ``(y[i], X[i])``. Centring ``y`` and ``X`` per replication takes
+    the intercept out of the fit, so one stacked QR of the centred predictors
+    fits every replication, and the intercept is ``ybar - xbar' beta``.
+    Residuals are the centred ``y`` minus its stacked projection.
+
+    The design check is the augmented design's, per replication: its R
+    factor is ``[[sqrt(n), sqrt(n) xbar'], [0, R_c]]`` with ``R_c`` the
+    centred one, and rcond of ``X'X`` is the squared ratio of that small
+    matrix's extreme singular values.
+    """
+
+    def __init__(self, y, X):
+        count, n, p = X.shape
+        _check_size(n, p)
+        self.ybar = y.mean(axis=1)
+        self.xbar = X.mean(axis=1)
+        self.yc = y - self.ybar[:, None]
+        self.xc = X - self.xbar[:, None, :]
+        self.q, self.rc = np.linalg.qr(self.xc)
+        aug = np.zeros((count, p + 1, p + 1))
+        aug[:, 0, 0] = math.sqrt(n)
+        aug[:, 0, 1:] = math.sqrt(n) * self.xbar
+        aug[:, 1:, 1:] = self.rc
+        s = np.linalg.svd(aug, compute_uv=False)
+        rcond = (s[:, -1] / s[:, 0]) ** 2
+        bad = np.flatnonzero(~(rcond >= RCOND_TOL))
+        if bad.size:
             raise SingularDesign(
-                f"augmented design is rank-deficient (rcond(X'X)={rcond:.3e}); "
+                f"augmented design is rank-deficient (rcond(X'X)={rcond[bad[0]]:.3e}); "
                 "check for collinear predictors"
             )
-        self.theta_hat = np.linalg.solve(self.rmat, self.q.T @ data.y)
 
-    def _finish(self, theta):
-        residuals = self.data.y - self.Xt @ theta
-        sigma2 = float(residuals @ residuals) / self.data.n
-        return RegressionFit(theta_hat=theta, residuals=residuals, sigma2_hat=sigma2)
+    def _fit(self, q, rc, basis):
+        """Coefficients ``(R, p + 1)`` and residuals ``(R, n)`` of the
+        regression of the centred ``y`` on ``xc @ basis``, whose QR is
+        ``(q, rc)``."""
+        qty = q.transpose(0, 2, 1) @ self.yc[:, :, None]
+        residuals = self.yc - (q @ qty)[:, :, 0]
+        beta = np.linalg.solve(rc, qty)[:, :, 0] @ basis.T
+        mu = self.ybar - (self.xbar * beta).sum(axis=1)
+        return np.column_stack((mu, beta)), residuals
 
     def unrestricted(self):
-        return self._finish(self.theta_hat)
+        """``(theta, residuals)`` of every replication's least-squares fit."""
+        return self._fit(self.q, self.rc, np.eye(self.xc.shape[2]))
 
     def restricted(self, restriction):
-        """Project the unrestricted estimate onto the restricted subspace.
+        """``(theta, residuals)`` of every fit subject to ``R beta = 0``.
 
-        theta_tilde = theta_hat - A^{-1} Rt' (Rt A^{-1} Rt')^{-1} Rt theta_hat
-
-        with ``A = X'X`` and ``Rt`` the restriction padded with a zero
-        intercept column. For selection restrictions this reproduces the
-        drop-column refit with zeros reinstated.
+        The restricted slopes are ``beta = N gamma`` with ``N`` the
+        restriction's null-space basis, so the fit regresses the centred
+        ``y`` on ``xc @ N``. The all-slopes null leaves no regressor: its
+        residuals are the centred ``y`` and its intercept is ``ybar``.
         """
-        if restriction.p != self.data.p:
+        count, _, p = self.xc.shape
+        if restriction.p != p:
             raise SingularRestriction(
-                f"restriction acts on {restriction.p} slopes but data has {self.data.p}"
+                f"restriction acts on {restriction.p} slopes but data has {p}"
             )
-        theta = self.theta_hat
-        Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
-        # A^{-1} Rt' through the triangular factor: two small solves
-        ainv_rt = np.linalg.solve(self.rmat, np.linalg.solve(self.rmat.T, Rt.T))
-        small = Rt @ ainv_rt
-        sv = np.linalg.svd(small, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise SingularRestriction(
-                "restricted system R (X'X)^{-1} R' is numerically singular"
-            )
-        correction = ainv_rt @ np.linalg.solve(small, Rt @ theta)
-        return self._finish(theta - correction)
+        basis = restriction.null_basis
+        if not basis.shape[1]:
+            theta = np.zeros((count, p + 1))
+            theta[:, 0] = self.ybar
+            return theta, self.yc
+        return self._fit(*np.linalg.qr(self.xc @ basis), basis)
+
+
+def _check_size(n, p):
+    if n < p + 2:
+        raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
+
+
+def residual_variance(residuals):
+    """n-divisor variance ``u'u / n`` of residuals around zero, per row of a
+    stack (or of one residual vector)."""
+    u = residuals
+    return (u[..., None, :] @ u[..., :, None])[..., 0, 0] / u.shape[-1]
+
+
+def _single(pair):
+    theta, residuals = pair
+    return RegressionFit(
+        theta_hat=theta[0],
+        residuals=residuals[0],
+        sigma2_hat=float(residual_variance(residuals[0])),
+    )
 
 
 def fit_unrestricted(data):
-    """Least-squares fit of the predictive regression with intercept."""
-    return DesignFactor(data).unrestricted()
+    """Least-squares fit of the predictive regression with intercept: the
+    one-replication case of :class:`DesignStack`."""
+    return _single(DesignStack(data.y[None], data.X[None]).unrestricted())
 
 
 def fit_restricted(data, restriction):
-    """Least-squares fit subject to ``R beta = 0`` (intercept unrestricted)."""
-    return DesignFactor(data).restricted(restriction)
+    """Least-squares fit subject to ``R beta = 0`` (intercept unrestricted):
+    the one-replication case of :class:`DesignStack`."""
+    stack = DesignStack(data.y[None], data.X[None])
+    return _single(stack.restricted(restriction))

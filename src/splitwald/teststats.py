@@ -10,11 +10,16 @@ whose studentized squared mean is the single-shot statistic. Summing over
 null; its centered and scaled version ``(S_M - M) / sqrt(2 M)`` is standard
 normal when ``M`` grows with the sample (but slower than it).
 
-The ``M`` draws are the rows of one Bernoulli block (stream layout 3, two
-draws per Philox word, see :mod:`splitwald.randomization`). The weights
-take two values per row, so every row's mean and variance of ``d`` are
-closed forms in three masked sums, and one ``(M, n) @ (n, 3)`` product
-gives all ``M`` statistics without forming any ``d``.
+The statistics run in two stages, so that the Monte Carlo harness can run
+the first on a stack of replications. :class:`StatisticSetup` fits both
+regressions on an ``(R, n)`` stack and computes, as arrays, everything that
+does not depend on the draws. Then, per replication, the ``M`` draws are the
+rows of one Bernoulli block (stream layout 3, two draws per Philox word, see
+:mod:`splitwald.randomization`). The weights take two values per row, so
+every row's mean and variance of ``d`` are closed forms in three masked
+sums, and one ``(M, n) @ (n, 3)`` product gives all ``M`` statistics without
+forming any ``d``. :func:`run_test` and :func:`draw_statistics` are the
+one-replication case of the same two stages.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
@@ -33,14 +38,13 @@ import numpy as np
 from .distributions import ChiSquareParams, chisq_sf, normal_sf
 from .errors import (
     DegenerateVariance,
-    InvalidDelta,
     LengthMismatch,
     check_integer,
     check_real,
 )
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
-from .regression import DesignFactor
-from .theory import mn_rule
+from .regression import DesignStack, residual_variance
+from .theory import check_mn_delta, mn_rule
 
 
 class TestMode(Enum):
@@ -98,11 +102,7 @@ class StatisticConfig:
         if mn_delta is None:
             m = check_integer("m", 5 if m is None else m, 1)
         else:
-            mn_delta = check_real("mn_delta", mn_delta)
-            if not 0.0 < mn_delta < 1.0:
-                raise InvalidDelta(
-                    f"mn_delta must lie in (0, 1) so that M_n/n -> 0, got {mn_delta!r}"
-                )
+            mn_delta = check_mn_delta(mn_delta)
         fields = dict(p0=p0, mode=mode, m=m, mn_delta=mn_delta, alpha=alpha)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -154,21 +154,94 @@ class TestOutcome:
         }
 
 
-def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
-    """Single-shot statistics of every Bernoulli row, in closed form.
+class StatisticSetup:
+    """The draw-free part of the statistics of a stack of R replications.
 
-    ``b`` is the ``(M, n)`` 0/1 matrix of the draws and ``counts`` its row
-    sums. With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` has
+    ``u0_sq`` and ``u1_sq`` are the ``(R, n)`` restricted and unrestricted
+    squared residuals and ``sigma2_1`` the ``(R,)`` unrestricted variances.
+    With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` of the draws has
     ``d_t = k_t a_t - c_t`` where ``k_t`` is ``1/(2 b_bar)`` on its ones and
     ``1/(2 (1 - b_bar))`` on its zeros, so ``sum(d)`` and ``sum(d^2)`` follow
-    from the masked sums ``b @ [a, a^2, a c]`` and fixed totals.
+    from the masked sums ``b @ [a, a^2, a c]`` and fixed totals. The set-up
+    holds the ``(R, 3, n)`` rows ``[a, a^2, a c]``, their totals and the sum
+    and square sum of ``c``, computed on the whole stack at once.
 
     The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
     ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
     mean of ``d`` up to a split term of order ``s_d / sqrt(n)``, so the
     one-pass variance does not cancel when ``d`` is far from zero or nearly
     constant.
+    """
 
+    def __init__(self, u0_sq, u1_sq, sigma2_1):
+        self.rows = np.empty((u0_sq.shape[0], 3, u0_sq.shape[1]))
+        a = np.subtract(u0_sq, sigma2_1[:, None], out=self.rows[:, 0])
+        c = u1_sq - sigma2_1[:, None]
+        self.m0 = a.mean(axis=1) - c.mean(axis=1)
+        c += self.m0[:, None]
+        np.multiply(a, a, out=self.rows[:, 1])
+        np.multiply(a, c, out=self.rows[:, 2])
+        self.totals = self.rows.sum(axis=2)
+        self.c_sum = c.sum(axis=1)
+        self.c_sq = (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+
+    @classmethod
+    def fit(cls, y, X, restriction):
+        """Both least-squares fits of an ``(R, n)`` / ``(R, n, p)`` stack in
+        one :class:`DesignStack`, then the set-up of their statistics."""
+        design = DesignStack(y, X)
+        u1 = design.unrestricted()[1]
+        sigma2_1 = residual_variance(u1)
+        u1 **= 2
+        u0_sq = design.restricted(restriction)[1] ** 2
+        del design  # free the fit's stacks before the set-up allocates its own
+        return cls(u0_sq, u1, sigma2_1)
+
+    @property
+    def n(self):
+        return self.rows.shape[2]
+
+    def statistics(self, r, b, counts):
+        """``(s_n, d_bar, s_d2)`` of replication ``r`` for the ``(M, n)``
+        0/1 draws ``b`` with row sums ``counts``: one ``(M, n) @ (n, 3)``
+        product and the closed form, with the n-divisor variance.
+
+        A row whose ``d`` is numerically constant cannot be studentized and
+        raises :class:`DegenerateVariance` carrying the first such draw
+        (1-based).
+        """
+        m, n = b.shape
+        s_a, s_aa, s_ac = (b @ self.rows[r].T).T
+        t_a, t_aa, t_ac = self.totals[r]
+        b_bar = counts / n
+        k1 = 0.5 / b_bar
+        k0 = 0.5 / (1.0 - b_bar)
+        sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[r]
+        sum_d2 = (
+            k1 * k1 * s_aa
+            + k0 * k0 * (t_aa - s_aa)
+            - 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
+            + self.c_sq[r]
+        )
+        shift = sum_d / n
+        d_bar = self.m0[r] + shift
+        s_d2 = sum_d2 / n - shift * shift
+        degenerate = np.flatnonzero(s_d2 < 1e-14 * (1.0 + d_bar * d_bar))
+        if degenerate.size:
+            j = int(degenerate[0])
+            raise DegenerateVariance(
+                f"Bernoulli draw {j + 1} of {m}: contrast sequence has numerically "
+                f"zero variance (s_d2={s_d2[j]:.3e})",
+                draw_index=j + 1,
+            )
+        return n * d_bar * d_bar / s_d2, d_bar, s_d2
+
+
+def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
+    """Single-shot statistics of every Bernoulli row, in closed form.
+
+    ``b`` is the ``(M, n)`` 0/1 matrix of the draws and ``counts`` its row
+    sums. This is the one-replication case of :class:`StatisticSetup`.
     Returns the arrays ``(s_n, d_bar, s_d2)``, with the n-divisor variance.
     A row whose ``d`` is numerically constant cannot be studentized and
     raises :class:`DegenerateVariance` carrying the first such draw (1-based).
@@ -185,75 +258,52 @@ def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
         raise LengthMismatch(f"need at least 2 observations, got {n}")
     if sigma2_1 < 0:
         raise ValueError(f"sigma2_1 must be >= 0, got {sigma2_1!r}")
-    a = u0_sq - sigma2_1
-    c = u1_sq - sigma2_1
-    m0 = a.mean() - c.mean()
-    c += m0
-    rows = np.vstack((a, a * a, a * c))
-    s_a, s_aa, s_ac = (b @ rows.T).T
-    t_a, t_aa, t_ac = rows.sum(axis=1)
-    b_bar = counts / n
-    k1 = 0.5 / b_bar
-    k0 = 0.5 / (1.0 - b_bar)
-    sum_d = k1 * s_a + k0 * (t_a - s_a) - c.sum()
-    sum_d2 = (
-        k1 * k1 * s_aa
-        + k0 * k0 * (t_aa - s_aa)
-        - 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
-        + c @ c
-    )
-    shift = sum_d / n
-    d_bar = m0 + shift
-    s_d2 = sum_d2 / n - shift * shift
-    degenerate = np.flatnonzero(s_d2 < 1e-14 * (1.0 + d_bar * d_bar))
-    if degenerate.size:
-        j = int(degenerate[0])
-        raise DegenerateVariance(
-            f"Bernoulli draw {j + 1} of {m}: contrast sequence has numerically "
-            f"zero variance (s_d2={s_d2[j]:.3e})",
-            draw_index=j + 1,
-        )
-    return n * d_bar * d_bar / s_d2, d_bar, s_d2
+    setup = StatisticSetup(u0_sq[None], u1_sq[None], np.array([float(sigma2_1)]))
+    return setup.statistics(0, b, counts)
+
+
+def replication_statistics(setup, r, p0, m, seed):
+    """``(s_n, d_bar, s_d2)`` of replication ``r`` of ``setup``, from the
+    ``M`` Bernoulli rows drawn at ``seed`` (draw ``j`` is row ``j - 1``,
+    stream layout 3)."""
+    b, counts = draw_bernoulli_rows(setup.n, p0, m, seed)
+    return setup.statistics(r, b, counts)
+
+
+def p_value(s_m, m, mode):
+    """``(q, p)``: the centred-scaled statistic and the p-value of ``S_M``.
+
+    The chi-square(M) upper tail in fixed-M mode; the two-sided
+    standard-normal p-value of ``q`` in growing-M mode.
+    """
+    q = (s_m - m) / math.sqrt(2.0 * m)
+    if mode is TestMode.FIXED_M_CHI_SQUARE:
+        return q, chisq_sf(s_m, ChiSquareParams(df=m))
+    return q, min(2.0 * normal_sf(abs(q)), 1.0)
 
 
 def run_test(data, restriction, cfg, seed):
     """Run the full randomized test on one dataset.
 
-    Fits the restricted and unrestricted regressions once, draws the ``M``
-    Bernoulli rows from the one stream at ``seed`` (draw ``j`` is row
-    ``j - 1``, stream layout 3), computes every single-shot statistic with
-    :func:`draw_statistics`, aggregates them and returns the outcome:
-    chi-square(M) upper-tail p-value in fixed-M mode, two-sided
-    standard-normal p-value for the centered-scaled statistic in growing-M
-    mode.
+    The one-replication case of the harness's path: fits the restricted and
+    unrestricted regressions in a :class:`StatisticSetup` of one
+    replication, draws the ``M`` Bernoulli rows at ``seed``, computes every
+    single-shot statistic, aggregates them and returns the outcome with its
+    :func:`p_value`.
     """
-    factor = DesignFactor(data)
-    unrestricted = factor.unrestricted()
-    restricted = factor.restricted(restriction)
     m = cfg.resolve_m(data.n)
-    b, counts = draw_bernoulli_rows(data.n, cfg.p0, m, seed)
-    s_n, d_bar, s_d2 = draw_statistics(
-        restricted.residuals**2,
-        unrestricted.residuals**2,
-        unrestricted.sigma2_hat,
-        b,
-        counts,
-    )
+    setup = StatisticSetup.fit(data.y[None], data.X[None], restriction)
+    s_n, d_bar, s_d2 = replication_statistics(setup, 0, cfg.p0, m, seed)
     s_m = float(s_n.sum())
-
-    q = (s_m - m) / math.sqrt(2.0 * m)
-    if cfg.mode is TestMode.FIXED_M_CHI_SQUARE:
-        p_value = chisq_sf(s_m, ChiSquareParams(df=m))
-    else:
-        p_value = min(2.0 * normal_sf(abs(q)), 1.0)
+    q, p = p_value(s_m, m, cfg.mode)
     return TestOutcome(
         s_m=s_m,
         q=q,
         s_n=s_n,
         d_bar=d_bar,
         s_d2=s_d2,
-        p_value=p_value,
-        reject=bool(p_value < cfg.alpha),
+        p_value=p,
+        reject=bool(p < cfg.alpha),
         df_or_mn=m,
         seed=seed,
         mode=cfg.mode,

@@ -68,6 +68,14 @@ def weight_variance(p0):
     return (1.0 - 2.0 * p0) ** 2 / (4.0 * p0 * (1.0 - p0))
 
 
+def _check_ar1(phi1, kurtosis_u):
+    """A stationary AR(1) predictor, and errors whose kurtosis exceeds 1."""
+    if abs(phi1) >= 1:
+        raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
+    if kurtosis_u <= 1:
+        raise InvalidKurtosis(f"kurtosis must exceed 1, got {kurtosis_u!r}")
+
+
 @dataclass
 class LocalAlternative:
     """Local departure from the global null.
@@ -104,10 +112,7 @@ class LocalAlternative:
         Uses ``q_inf = delta1^2 sigma2_v / (1 - phi1^2)`` and the
         Gaussian-style ``sigma_eta = sigma2_u sqrt(Ku - 1)``.
         """
-        if abs(phi1) >= 1:
-            raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
-        if kurtosis_u <= 1:
-            raise InvalidKurtosis(f"kurtosis must exceed 1, got {kurtosis_u!r}")
+        _check_ar1(phi1, kurtosis_u)
         q_inf = delta1**2 * sigma2_v / (1.0 - phi1**2)
         sigma_eta = sigma2_u * math.sqrt(kurtosis_u - 1.0)
         return cls(delta=[delta1], q_inf=q_inf, sigma_eta=sigma_eta, alpha=[0.0])
@@ -124,13 +129,13 @@ def ncp_ar1(p0, m, delta1, sigma2_v, sigma2_u, phi1, kurtosis_u):
     """Noncentrality for a single stationary AR(1) predictor, in closed form.
 
     ``M f(p0) delta1^4 (sigma2_v / sigma2_u)^2 / ((1 - phi1^2)^2 (Ku - 1))``.
+    This is ``ncp_general`` of ``LocalAlternative.single_stationary``, which
+    takes the square root of ``Ku - 1`` and squares it again, so the two
+    differ in the last bits.
     """
     p0 = check_p0(p0)
     m = check_integer("m", m, 1)
-    if abs(phi1) >= 1:
-        raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
-    if kurtosis_u <= 1:
-        raise InvalidKurtosis(f"kurtosis must exceed 1, got {kurtosis_u!r}")
+    _check_ar1(phi1, kurtosis_u)
     if sigma2_v <= 0 or sigma2_u <= 0:
         raise ValueError("variances must be positive")
     return (
@@ -157,13 +162,20 @@ def asymptotic_power(ncp, m, alpha):
     return 1.0 - chisq_cdf(crit, ChiSquareParams(df=m, ncp=ncp))
 
 
+def check_mn_delta(delta):
+    """``delta`` as a float in (0, 1): the growth exponent of the draw count."""
+    delta = check_real("mn_delta", delta)
+    if not 0.0 < delta < 1.0:
+        raise InvalidDelta(
+            f"growth exponent mn_delta must lie in (0, 1) so that M_n/n -> 0, "
+            f"got {delta!r}"
+        )
+    return delta
+
+
 def mn_rule(n, p0, delta):
     """Draw-count growth rule ``floor((n / p0)^delta)``, clamped at 1."""
     check_integer("n", n, 2)
     p0 = check_p0(p0)
-    delta = check_real("delta", delta)
-    if not 0.0 < delta < 1.0:
-        raise InvalidDelta(
-            f"growth exponent must lie in (0, 1) so that M_n/n -> 0, got {delta!r}"
-        )
+    delta = check_mn_delta(delta)
     return max(1, int(math.floor((n / p0) ** delta)))

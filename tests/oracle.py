@@ -6,6 +6,14 @@ draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
 (:func:`splitwald.draw_statistics`).
 
+``DesignFactor`` fits one dataset through the QR of its uncentred augmented
+design, as the library did before :class:`splitwald.regression.DesignStack`
+fitted a centred stack of replications. ``run_plan_oracle`` runs a plan one
+replication at a time on it: ``DesignFactor``, then
+:func:`splitwald.draw_statistics`, then the p-value from ``chisq_sf`` or
+``normal_sf`` and ``p < alpha``, as the harness did before it fitted and set
+up sub-blocks as arrays and decided by the critical value.
+
 ``bernoulli_rows_oracle`` defines stream layout 3 arithmetically: it splits
 each stream word into its low and high 32-bit halves with Python integers and
 compares each half with ``ceil(p0 * 2**32)`` in exact rational arithmetic,
@@ -29,15 +37,27 @@ from fractions import Fraction
 import numpy as np
 
 from splitwald import (
+    ChiSquareParams,
     ColumnMissing,
     DegenerateVariance,
     InvalidLength,
     LengthMismatch,
+    RegressionData,
+    RegressionFit,
+    SeedSpec,
     SimulatedSample,
+    SingularDesign,
+    SingularRestriction,
     SplitwaldError,
+    TestMode,
     TooFewRows,
+    chisq_sf,
     draw_bernoulli_rows,
+    draw_statistics,
+    normal_sf,
+    simulate,
 )
+from splitwald.regression import RCOND_TOL
 
 
 @dataclass
@@ -103,6 +123,104 @@ def bernoulli_rows_oracle(n, p0, m, seed):
         while sum(rows[j]) in (0, n):
             rows[j] = draws(n)
     return np.array(rows, dtype=np.float64)
+
+
+class DesignFactor:
+    """Per-dataset reference for :class:`splitwald.regression.DesignStack`.
+
+    One QR factorization of the uncentred augmented design ``[1, X]``, shared
+    by both fits; the restricted fit projects the unrestricted estimate onto
+    ``R beta = 0``. This was the library's fit before it centred a stack of
+    replications.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        Xt = data.design()
+        self.Xt = Xt
+        self.q, self.rmat = np.linalg.qr(Xt, mode="reduced")
+        # Singular values of the small triangular factor equal those of the
+        # design itself; rcond of X'X is their squared ratio.
+        s = np.linalg.svd(self.rmat, compute_uv=False)
+        rcond = (s[-1] / s[0]) ** 2 if s[0] > 0 else 0.0
+        if rcond < RCOND_TOL:
+            raise SingularDesign(
+                f"augmented design is rank-deficient (rcond(X'X)={rcond:.3e}); "
+                "check for collinear predictors"
+            )
+        self.theta_hat = np.linalg.solve(self.rmat, self.q.T @ data.y)
+
+    def _finish(self, theta):
+        residuals = self.data.y - self.Xt @ theta
+        sigma2 = float(residuals @ residuals) / self.data.n
+        return RegressionFit(theta_hat=theta, residuals=residuals, sigma2_hat=sigma2)
+
+    def unrestricted(self):
+        return self._finish(self.theta_hat)
+
+    def restricted(self, restriction):
+        """Project the unrestricted estimate onto the restricted subspace.
+
+        theta_tilde = theta_hat - A^{-1} Rt' (Rt A^{-1} Rt')^{-1} Rt theta_hat
+
+        with ``A = X'X`` and ``Rt`` the restriction padded with a zero
+        intercept column. For selection restrictions this reproduces the
+        drop-column refit with zeros reinstated.
+        """
+        if restriction.p != self.data.p:
+            raise SingularRestriction(
+                f"restriction acts on {restriction.p} slopes but data has {self.data.p}"
+            )
+        theta = self.theta_hat
+        Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
+        # A^{-1} Rt' through the triangular factor: two small solves
+        ainv_rt = np.linalg.solve(self.rmat, np.linalg.solve(self.rmat.T, Rt.T))
+        small = Rt @ ainv_rt
+        sv = np.linalg.svd(small, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise SingularRestriction(
+                "restricted system R (X'X)^{-1} R' is numerically singular"
+            )
+        correction = ainv_rt @ np.linalg.solve(small, Rt @ theta)
+        return self._finish(theta - correction)
+
+
+def run_plan_oracle(plan):
+    """``(rejected, degenerate)`` of every cell of ``plan``, in cell order,
+    one replication at a time: the reference for
+    :func:`splitwald.run_plan`'s counts."""
+    seed = SeedSpec(plan.master_seed, plan.seed_stream)
+    out = []
+    for cid, n, p0, beta in plan.cells():
+        spec, cfg, restriction = plan.build_cell(n, p0, beta)
+        m = cfg.resolve_m(n)
+        rejected = degenerate = 0
+        for r in range(plan.replications):
+            rep_seed = seed.child(cid, r)
+            sample = simulate(spec, rep_seed.child(0))
+            factor = DesignFactor(RegressionData(sample.y, sample.X_lagged))
+            unrestricted = factor.unrestricted()
+            restricted = factor.restricted(restriction)
+            b, counts = draw_bernoulli_rows(n, cfg.p0, m, rep_seed.child(1))
+            try:
+                s_n, _, _ = draw_statistics(
+                    restricted.residuals**2,
+                    unrestricted.residuals**2,
+                    unrestricted.sigma2_hat,
+                    b,
+                    counts,
+                )
+            except DegenerateVariance:
+                degenerate += 1
+                continue
+            s_m = float(s_n.sum())
+            if cfg.mode is TestMode.FIXED_M_CHI_SQUARE:
+                p_value = chisq_sf(s_m, ChiSquareParams(df=m))
+            else:
+                p_value = min(2.0 * normal_sf(abs((s_m - m) / math.sqrt(2.0 * m))), 1.0)
+            rejected += p_value < cfg.alpha
+        out.append((rejected, degenerate))
+    return out
 
 
 @dataclass

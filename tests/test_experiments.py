@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import splitwald.experiments as ex
 from splitwald import (
+    ChiSquareParams,
     DegenerateVariance,
     DgpSpec,
     EmptyReport,
@@ -16,8 +18,11 @@ from splitwald import (
     SeedSpec,
     StatisticConfig,
     TestMode,
+    chisq_quantile,
+    chisq_sf,
     export_report,
     load_plan,
+    normal_sf,
     plan_from_dict,
     preset,
     run_test,
@@ -25,7 +30,7 @@ from splitwald import (
 from splitwald import dgp
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
 
-from oracle import replication_bytes, simulate_oracle
+from oracle import replication_bytes, run_plan_oracle, simulate_oracle
 
 
 def tiny_plan(**over):
@@ -131,16 +136,17 @@ class TestRunPlan:
         assert cell.replications == 150
 
     def test_degenerate_replications_excluded_and_counted(self, monkeypatch):
-        real = ex.run_test
+        # the chunk's per-replication stage: draws, statistics, degeneracy check
+        real = ex.replication_statistics
         calls = {"n": 0}
 
-        def flaky(data, restriction, cfg, seed):
+        def flaky(setup, r, p0, m, seed):
             calls["n"] += 1
             if calls["n"] % 4 == 0:
                 raise DegenerateVariance("forced", draw_index=1)
-            return real(data, restriction, cfg, seed)
+            return real(setup, r, p0, m, seed)
 
-        monkeypatch.setattr(ex, "run_test", flaky)
+        monkeypatch.setattr(ex, "replication_statistics", flaky)
         report = run_plan(tiny_plan())
         cell = report.cells[0]
         assert cell.degenerate == 25
@@ -203,6 +209,131 @@ class TestBatches:
         plan = tiny_plan(dgp=spec, n_grid=(5000,), replications=100)
         with pytest.raises(NumericOverflow, match=r"cell 0, replication 0: simulated state"):
             run_plan(plan)
+
+
+def oracle_plan(name, cfg, restrict="all", workers=1, n_grid=(80,)):
+    kwargs = {"alpha1": 0.9, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
+    return ExperimentPlan(
+        dgp=PresetRef(name, **kwargs),
+        n_grid=n_grid,
+        p0_grid=(0.40,),
+        beta_grid=(0.0, 0.3),
+        cfg_template=cfg,
+        replications=100,
+        master_seed=17,
+        workers=workers,
+        restrict=restrict,
+    )
+
+
+ORACLE_CONFIGS = {
+    "fixed": StatisticConfig(m=4),
+    "growing": StatisticConfig.growing(mn_delta=1.0 / 3.0),
+}
+
+
+class TestAgainstOracle:
+    """run_plan's reject and degenerate counts equal those of the
+    per-replication path: the per-dataset fit, draw_statistics and the
+    p-value against alpha."""
+
+    @staticmethod
+    def assert_counts_match(plan):
+        expected = run_plan_oracle(plan)
+        report = run_plan(plan)
+        got = [
+            (round(c.rejection_rate * c.replications), c.degenerate) for c in report.cells
+        ]
+        assert got == expected
+        # the counts are informative: the slope of 0.3 is rejected at least once
+        assert sum(rejected for rejected, _ in expected) > 0
+
+    @pytest.mark.parametrize("mode", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("name", dgp.PRESET_NAMES)
+    def test_every_preset(self, name, mode):
+        self.assert_counts_match(oracle_plan(name, ORACLE_CONFIGS[mode]))
+
+    @pytest.mark.parametrize("mode", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("restrict", [(1,), (0, 2)])
+    @pytest.mark.parametrize("name", ["DGP2a", "DGP2c_ii"])
+    def test_subset_restrictions_with_three_predictors(self, name, restrict, mode):
+        self.assert_counts_match(oracle_plan(name, ORACLE_CONFIGS[mode], restrict))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_counts(self, workers):
+        cfg = ORACLE_CONFIGS["growing"]
+        plan = oracle_plan("DGP2b", cfg, (0, 2), workers=workers, n_grid=(80, 120))
+        self.assert_counts_match(plan)
+
+
+class TestDecision:
+    """The chunk decides a fixed-M replication by the critical value and
+    takes the p-value only near it; every decision equals p < alpha."""
+
+    @staticmethod
+    def edge_points(crit):
+        lo, hi = crit * (1.0 - ex.GUARD_BAND), crit * (1.0 + ex.GUARD_BAND)
+        points = [crit, np.nextafter(crit, -np.inf), np.nextafter(crit, np.inf)]
+        for edge in (lo, hi):
+            points += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        return [float(s) for s in points]
+
+    @staticmethod
+    def by_p_value(s_m, m, alpha):
+        return chisq_sf(s_m, ChiSquareParams(df=m)) < alpha
+
+    @pytest.mark.parametrize("m, alpha", [(1, 0.10), (4, 0.05), (18, 0.01), (50, 0.10)])
+    def test_chunk_decisions_at_the_critical_value(self, monkeypatch, m, alpha):
+        points = self.edge_points(chisq_quantile(1.0 - alpha, m))
+        calls = iter(points)
+
+        def at_points(setup, r, p0, m_, seed):
+            return np.array([next(calls)]), None, None
+
+        monkeypatch.setattr(ex, "replication_statistics", at_points)
+        spec = preset("DGP1a", 40, alpha1=0.0, burn_in=10)
+        cfg = StatisticConfig(m=m, alpha=alpha)
+        payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(3), 0, 0, len(points))
+        expected = sum(self.by_p_value(s, m, alpha) for s in points)
+        assert 0 < expected < len(points)
+        assert ex._run_chunk(payload) == (0, expected, 0)
+
+    @pytest.mark.parametrize("shift", [1.01, 0.99])
+    def test_rule_equals_p_value_when_the_band_misses(self, monkeypatch, shift):
+        # a critical value off by 1% fails the band check, and every decision
+        # then takes the p-value
+        m, alpha = 5, 0.10
+        crit = chisq_quantile(1.0 - alpha, m)
+        monkeypatch.setattr(ex, "chisq_quantile", lambda prob, df: shift * crit)
+        rule = ex._reject_rule(StatisticConfig(m=m, alpha=alpha), m)
+        points = self.edge_points(crit) + self.edge_points(shift * crit)
+        for s in points:
+            assert rule(s) == self.by_p_value(s, m, alpha)
+
+    def test_growing_mode_takes_the_normal_p_value(self):
+        cfg = StatisticConfig.growing(mn_delta=1.0 / 3.0)
+        rule = ex._reject_rule(cfg, 17)
+        for s in np.linspace(0.0, 60.0, 601):
+            q = (s - 17) / np.sqrt(34.0)
+            assert rule(float(s)) == (min(2.0 * normal_sf(abs(q)), 1.0) < cfg.alpha)
+
+
+def test_chunk_peak_memory_is_bounded():
+    # one chunk of the DGP1b, n=1000, M=50 cell: the simulate batch, one draw
+    # block, and 1 MiB of slack for the sub-block's fit stacks (measured at
+    # 0.43 MiB with numpy 2.4)
+    spec = preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9)
+    cfg = StatisticConfig(p0=0.40, m=50)
+    payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(5), 0, 0, ex.CHUNK)
+    ex._run_chunk(payload[:-2] + (0, 20))  # first-call allocations
+    tracemalloc.start()
+    try:
+        ex._run_chunk(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draw_block = 50 * 1000 * 8
+    assert peak <= dgp.SIM_BATCH_BYTES + draw_block + 2**20
 
 
 class TestExport:

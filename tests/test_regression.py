@@ -12,6 +12,10 @@ from splitwald import (
     fit_restricted,
     fit_unrestricted,
 )
+from splitwald.regression import DesignStack
+from splitwald.teststats import StatisticSetup
+
+from oracle import DesignFactor
 
 
 class TestUnrestricted:
@@ -123,6 +127,64 @@ class TestRestricted:
         data = RegressionData(np.arange(10.0), np.random.default_rng(0).standard_normal((10, 2)))
         with pytest.raises(SingularRestriction):
             fit_restricted(data, Restriction(np.array([[1.0, 0.0, 0.0]])))
+
+
+class TestStack:
+    """The stacked centred fit against the per-dataset oracle."""
+
+    @pytest.mark.parametrize(
+        "R",
+        [
+            Restriction.all_slopes(3),
+            Restriction.subset([1], 3),
+            Restriction.subset([0, 2], 3),
+            Restriction(np.array([[1.0, -1.0, 0.0]])),
+        ],
+    )
+    def test_fits_match_the_oracle_per_replication(self, R):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((5, 60, 3)).cumsum(axis=1) + 3.0
+        y = 0.5 + X @ np.array([0.2, 0.0, -0.1]) + rng.standard_normal((5, 60))
+        stack = DesignStack(y, X)
+        for got, method in [
+            (stack.unrestricted(), lambda f: f.unrestricted()),
+            (stack.restricted(R), lambda f: f.restricted(R)),
+        ]:
+            theta, residuals = got
+            for i in range(5):
+                want = method(DesignFactor(RegressionData(y[i], X[i])))
+                np.testing.assert_allclose(theta[i], want.theta_hat, rtol=1e-9, atol=1e-10)
+                np.testing.assert_allclose(residuals[i], want.residuals, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", ["collinear", "constant"])
+    def test_stack_raises_where_the_oracle_does(self, bad):
+        rng = np.random.default_rng(5)
+        good = rng.standard_normal((40, 2))
+        x = rng.standard_normal(40)
+        if bad == "collinear":
+            singular = np.column_stack([x, 2.0 * x])
+        else:
+            singular = np.column_stack([x, np.full(40, 3.0)])
+        y = rng.standard_normal((2, 40))
+        DesignFactor(RegressionData(y[0], good))
+        with pytest.raises(SingularDesign):
+            DesignFactor(RegressionData(y[1], singular))
+        DesignStack(y[:1], good[None])
+        X = np.stack([good, singular])
+        with pytest.raises(SingularDesign):
+            DesignStack(y, X)
+        # the harness's set-up of a sub-block, through the same fit
+        with pytest.raises(SingularDesign):
+            StatisticSetup.fit(y, X, Restriction.all_slopes(2))
+        with pytest.raises(SingularDesign):
+            fit_unrestricted(RegressionData(y[1], singular))
+
+    def test_single_constant_predictor(self):
+        data = RegressionData(np.arange(12.0), np.full(12, 2.0))
+        with pytest.raises(SingularDesign):
+            DesignFactor(data)
+        with pytest.raises(SingularDesign):
+            fit_restricted(data, Restriction.all_slopes(1))
 
 
 @st.composite

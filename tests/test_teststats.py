@@ -25,7 +25,6 @@ from splitwald import (
     simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
-from splitwald.regression import DesignFactor
 
 from oracle import (
     WeightSequence,
@@ -303,9 +302,8 @@ class TestRunTest:
 
 
 def residual_inputs(data, restriction):
-    factor = DesignFactor(data)
-    unrestricted = factor.unrestricted()
-    restricted = factor.restricted(restriction)
+    unrestricted = fit_unrestricted(data)
+    restricted = fit_restricted(data, restriction)
     return restricted.residuals**2, unrestricted.residuals**2, unrestricted.sigma2_hat
 
 

@@ -6,6 +6,7 @@ from splitwald import (
     InvalidKurtosis,
     InvalidP0,
     LocalAlternative,
+    StatisticConfig,
     asymptotic_power,
     elasticity,
     f_p0,
@@ -203,6 +204,15 @@ class TestGrowthRule:
     def test_inadmissible_p0(self):
         with pytest.raises(InvalidP0):
             mn_rule(100, 0.5, 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5])
+    def test_one_message_for_the_rule_and_the_config(self, delta):
+        with pytest.raises(InvalidDelta) as rule:
+            mn_rule(100, 0.4, delta)
+        with pytest.raises(InvalidDelta) as config:
+            StatisticConfig(mn_delta=delta)
+        assert str(rule.value) == str(config.value)
+        assert str(rule.value).startswith("growth exponent mn_delta must lie in (0, 1)")
 
     @pytest.mark.parametrize("delta", ["0.5", True, float("nan")])
     def test_non_real_delta_rejected(self, delta):
