@@ -56,10 +56,8 @@ from .experiments import (
 from .randomization import SeedSpec, check_p0, draw_bernoulli_rows
 from .regression import (
     RegressionData,
-    RegressionFit,
     Restriction,
-    fit_restricted,
-    fit_unrestricted,
+    fit_residuals,
 )
 from .teststats import (
     StatisticConfig,

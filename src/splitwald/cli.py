@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -42,19 +43,19 @@ def _parse_seed(text):
 
 
 def _parse_grid(text):
-    """Parse ``lo:hi:step`` (inclusive within rounding) or a single value."""
+    """Parse ``lo:hi:step`` (inclusive within rounding) or a single value.
+    Every number and the point count must be finite."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [text, text, "1"]  # a single value is the grid v:v:1
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-        else:
+        if len(parts) != 3:
             raise ValueError("expected VALUE or LO:HI:STEP")
+        lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InvalidGrid(f"bad grid {text!r}: {exc}") from None
-    if step <= 0 or hi < lo:
-        raise InvalidGrid(f"bad grid {text!r}: need step > 0 and hi >= lo")
+    if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
+        raise InvalidGrid(f"bad grid {text!r}: need finite lo <= hi and step > 0")
     count = int(round((hi - lo) / step)) + 1
     values = [lo + i * step for i in range(count)]
     return [v for v in values if v <= hi + 1e-12]

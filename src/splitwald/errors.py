@@ -54,7 +54,7 @@ class SingularDesign(SplitwaldError):
 
 
 class SingularRestriction(SplitwaldError):
-    """Restriction matrix is rank-deficient or induces a singular system."""
+    """Restriction matrix is rank-deficient or does not fit the slopes."""
 
 
 class InvalidP0(SplitwaldError):

@@ -322,11 +322,13 @@ def run_plan(plan, progress=None):
         if progress is not None:
             progress(done_so_far, len(tasks))
 
-    if plan.workers == 1:
+    # A pool starts all its workers at the first submit: start no idle ones.
+    workers = min(plan.workers, len(tasks))
+    if workers == 1:
         for i, task in enumerate(tasks, start=1):
             _absorb(_run_chunk(task), i)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for i, result in enumerate(pool.map(_run_chunk, tasks), start=1):
                 _absorb(result, i)
 

@@ -6,13 +6,14 @@ Solutions go through an orthogonal (QR) factorization rather than explicit
 normal-equation inversion: near-integrated predictors make ``X'X`` badly
 conditioned at the sample sizes this package targets.
 
-One path fits a whole stack of replications: :class:`DesignStack` centres
-each replication's ``y`` and ``X``, which takes the intercept out, and
-factors the centred predictors with one stacked QR that both fits share.
-The restricted fit regresses on the predictors times a null-space basis of
-``R``, which the :class:`Restriction` computes once. The Monte Carlo harness
-fits a sub-block of replications per call; :func:`fit_unrestricted` and
-:func:`fit_restricted` are its one-replication case.
+The test statistic needs only the residuals of both fits, so
+:func:`fit_residuals` returns those and no coefficients. It fits a whole
+stack of replications: it centres each replication's ``y`` and ``X``, which
+takes the intercept out, and factors the centred predictors with one
+stacked QR. The restricted fit regresses on the predictors times a
+null-space basis of ``R``, which the :class:`Restriction` computes once.
+The Monte Carlo harness fits a sub-block of replications per call and
+``splitwald test`` a stack of one.
 """
 
 import math
@@ -58,10 +59,6 @@ class RegressionData:
     @property
     def p(self):
         return self.X.shape[1]
-
-    def design(self):
-        """Intercept-augmented design matrix (intercept first)."""
-        return np.column_stack([np.ones(self.n), self.X])
 
 
 @dataclass
@@ -119,88 +116,59 @@ class Restriction:
         return cls(R)
 
 
-@dataclass
-class RegressionFit:
-    """Coefficients, residuals and the n-divisor residual variance.
-
-    ``theta_hat`` stacks the intercept first, then the slopes, matching the
-    augmented design's column order.
-    """
-
-    theta_hat: np.ndarray
-    residuals: np.ndarray
-    sigma2_hat: float
-
-
-class DesignStack:
-    """Centred QR of a stack of designs, shared by both fits.
+def fit_residuals(y, X, restriction):
+    """``(u1, u0)``: the ``(R, n)`` unrestricted and restricted residuals of
+    a stack of replications, without their coefficients.
 
     ``y`` is ``(R, n)`` and ``X`` is ``(R, n, p)``; replication ``i`` is the
     sample ``(y[i], X[i])``. Centring ``y`` and ``X`` per replication takes
-    the intercept out of the fit, so one stacked QR of the centred predictors
-    fits every replication, and the intercept is ``ybar - xbar' beta``.
-    Residuals are the centred ``y`` minus its stacked projection.
+    the intercept out of both fits, so one stacked QR of the centred
+    predictors fits every replication, and ``u1`` is the centred ``y`` minus
+    its stacked projection.
 
     The design check is the augmented design's, per replication: its R
     factor is ``[[sqrt(n), sqrt(n) xbar'], [0, R_c]]`` with ``R_c`` the
     centred one, and rcond of ``X'X`` is the squared ratio of that small
     matrix's extreme singular values.
+
+    The restricted slopes are ``beta = N gamma`` with ``N`` the
+    restriction's null-space basis, so ``u0`` comes from a second QR, of
+    ``xc @ N``. The all-slopes null leaves no regressor: ``u0`` is the
+    centred ``y`` itself.
     """
+    count, n, p = X.shape
+    _check_size(n, p)
+    xbar = X.mean(axis=1)
+    yc = y - y.mean(axis=1)[:, None]
+    xc = X - xbar[:, None, :]
+    q, rc = np.linalg.qr(xc)
+    aug = np.zeros((count, p + 1, p + 1))
+    aug[:, 0, 0] = math.sqrt(n)
+    aug[:, 0, 1:] = math.sqrt(n) * xbar
+    aug[:, 1:, 1:] = rc
+    s = np.linalg.svd(aug, compute_uv=False)
+    rcond = (s[:, -1] / s[:, 0]) ** 2
+    bad = np.flatnonzero(~(rcond >= RCOND_TOL))
+    if bad.size:
+        raise SingularDesign(
+            f"augmented design is rank-deficient (rcond(X'X)={rcond[bad[0]]:.3e}); "
+            "check for collinear predictors"
+        )
+    if restriction.p != p:
+        raise SingularRestriction(
+            f"restriction acts on {restriction.p} slopes but data has {p}"
+        )
+    u1 = _project_out(yc, q)
+    basis = restriction.null_basis
+    if not basis.shape[1]:
+        return u1, yc
+    return u1, _project_out(yc, np.linalg.qr(xc @ basis)[0])
 
-    def __init__(self, y, X):
-        count, n, p = X.shape
-        _check_size(n, p)
-        self.ybar = y.mean(axis=1)
-        self.xbar = X.mean(axis=1)
-        self.yc = y - self.ybar[:, None]
-        self.xc = X - self.xbar[:, None, :]
-        self.q, self.rc = np.linalg.qr(self.xc)
-        aug = np.zeros((count, p + 1, p + 1))
-        aug[:, 0, 0] = math.sqrt(n)
-        aug[:, 0, 1:] = math.sqrt(n) * self.xbar
-        aug[:, 1:, 1:] = self.rc
-        s = np.linalg.svd(aug, compute_uv=False)
-        rcond = (s[:, -1] / s[:, 0]) ** 2
-        bad = np.flatnonzero(~(rcond >= RCOND_TOL))
-        if bad.size:
-            raise SingularDesign(
-                f"augmented design is rank-deficient (rcond(X'X)={rcond[bad[0]]:.3e}); "
-                "check for collinear predictors"
-            )
 
-    def _fit(self, q, rc, basis):
-        """Coefficients ``(R, p + 1)`` and residuals ``(R, n)`` of the
-        regression of the centred ``y`` on ``xc @ basis``, whose QR is
-        ``(q, rc)``."""
-        qty = q.transpose(0, 2, 1) @ self.yc[:, :, None]
-        residuals = self.yc - (q @ qty)[:, :, 0]
-        beta = np.linalg.solve(rc, qty)[:, :, 0] @ basis.T
-        mu = self.ybar - (self.xbar * beta).sum(axis=1)
-        return np.column_stack((mu, beta)), residuals
-
-    def unrestricted(self):
-        """``(theta, residuals)`` of every replication's least-squares fit."""
-        return self._fit(self.q, self.rc, np.eye(self.xc.shape[2]))
-
-    def restricted(self, restriction):
-        """``(theta, residuals)`` of every fit subject to ``R beta = 0``.
-
-        The restricted slopes are ``beta = N gamma`` with ``N`` the
-        restriction's null-space basis, so the fit regresses the centred
-        ``y`` on ``xc @ N``. The all-slopes null leaves no regressor: its
-        residuals are the centred ``y`` and its intercept is ``ybar``.
-        """
-        count, _, p = self.xc.shape
-        if restriction.p != p:
-            raise SingularRestriction(
-                f"restriction acts on {restriction.p} slopes but data has {p}"
-            )
-        basis = restriction.null_basis
-        if not basis.shape[1]:
-            theta = np.zeros((count, p + 1))
-            theta[:, 0] = self.ybar
-            return theta, self.yc
-        return self._fit(*np.linalg.qr(self.xc @ basis), basis)
+def _project_out(yc, q):
+    """``yc`` minus its projection on the columns of the stacked ``q``."""
+    qty = q.transpose(0, 2, 1) @ yc[:, :, None]
+    return yc - (q @ qty)[:, :, 0]
 
 
 def _check_size(n, p):
@@ -214,24 +182,3 @@ def residual_variance(residuals):
     u = residuals
     return (u[..., None, :] @ u[..., :, None])[..., 0, 0] / u.shape[-1]
 
-
-def _single(pair):
-    theta, residuals = pair
-    return RegressionFit(
-        theta_hat=theta[0],
-        residuals=residuals[0],
-        sigma2_hat=float(residual_variance(residuals[0])),
-    )
-
-
-def fit_unrestricted(data):
-    """Least-squares fit of the predictive regression with intercept: the
-    one-replication case of :class:`DesignStack`."""
-    return _single(DesignStack(data.y[None], data.X[None]).unrestricted())
-
-
-def fit_restricted(data, restriction):
-    """Least-squares fit subject to ``R beta = 0`` (intercept unrestricted):
-    the one-replication case of :class:`DesignStack`."""
-    stack = DesignStack(data.y[None], data.X[None])
-    return _single(stack.restricted(restriction))

@@ -40,11 +40,10 @@ from .errors import (
     DegenerateVariance,
     LengthMismatch,
     check_integer,
-    check_real,
 )
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
-from .regression import DesignStack, residual_variance
-from .theory import check_mn_delta, mn_rule
+from .regression import fit_residuals, residual_variance
+from .theory import check_alpha, check_mn_delta, mn_rule
 
 
 class TestMode(Enum):
@@ -93,9 +92,7 @@ class StatisticConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {', '.join(_MODE_NAMES)}"
             )
-        alpha = check_real("alpha", self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        alpha = check_alpha(self.alpha)
         m, mn_delta = self.m, self.mn_delta
         if m is not None and mn_delta is not None:
             raise ValueError("m and mn_delta are mutually exclusive; set one")
@@ -187,15 +184,14 @@ class StatisticSetup:
 
     @classmethod
     def fit(cls, y, X, restriction):
-        """Both least-squares fits of an ``(R, n)`` / ``(R, n, p)`` stack in
-        one :class:`DesignStack`, then the set-up of their statistics."""
-        design = DesignStack(y, X)
-        u1 = design.unrestricted()[1]
+        """Both least-squares fits of an ``(R, n)`` / ``(R, n, p)`` stack by
+        :func:`fit_residuals`, then the set-up of their statistics, with both
+        residual stacks squared in place."""
+        u1, u0 = fit_residuals(y, X, restriction)
         sigma2_1 = residual_variance(u1)
         u1 **= 2
-        u0_sq = design.restricted(restriction)[1] ** 2
-        del design  # free the fit's stacks before the set-up allocates its own
-        return cls(u0_sq, u1, sigma2_1)
+        u0 **= 2
+        return cls(u0, u1, sigma2_1)
 
     @property
     def n(self):

@@ -155,11 +155,17 @@ def asymptotic_power(ncp, m, alpha):
     the central chi-square with ``M`` degrees of freedom. Equals ``alpha``
     exactly at ``ncp = 0``.
     """
+    alpha = check_alpha(alpha)
+    crit = chisq_quantile(1.0 - alpha, m)
+    return 1.0 - chisq_cdf(crit, ChiSquareParams(df=m, ncp=ncp))
+
+
+def check_alpha(alpha):
+    """``alpha`` as a float in (0, 1): the nominal level of a test."""
     alpha = check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    crit = chisq_quantile(1.0 - alpha, m)
-    return 1.0 - chisq_cdf(crit, ChiSquareParams(df=m, ncp=ncp))
+    return alpha
 
 
 def check_mn_delta(delta):

@@ -6,9 +6,10 @@ draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
 (:func:`splitwald.draw_statistics`).
 
-``DesignFactor`` fits one dataset through the QR of its uncentred augmented
-design, as the library did before :class:`splitwald.regression.DesignStack`
-fitted a centred stack of replications. ``run_plan_oracle`` runs a plan one
+``DesignFactor`` fits one dataset, coefficients included, through the QR
+of its uncentred augmented design, as the library did before
+:func:`splitwald.regression.fit_residuals` fitted the residuals of a
+centred stack of replications. ``run_plan_oracle`` runs a plan one
 replication at a time on it: ``DesignFactor``, then
 :func:`splitwald.draw_statistics`, then the p-value from ``chisq_sf`` or
 ``normal_sf`` and ``p < alpha``, as the harness did before it fitted and set
@@ -43,7 +44,6 @@ from splitwald import (
     InvalidLength,
     LengthMismatch,
     RegressionData,
-    RegressionFit,
     SeedSpec,
     SimulatedSample,
     SingularDesign,
@@ -125,8 +125,18 @@ def bernoulli_rows_oracle(n, p0, m, seed):
     return np.array(rows, dtype=np.float64)
 
 
+@dataclass
+class OracleFit:
+    """Coefficients (intercept first), residuals and the n-divisor residual
+    variance of one fit."""
+
+    theta_hat: np.ndarray
+    residuals: np.ndarray
+    sigma2_hat: float
+
+
 class DesignFactor:
-    """Per-dataset reference for :class:`splitwald.regression.DesignStack`.
+    """Per-dataset reference for :func:`splitwald.regression.fit_residuals`.
 
     One QR factorization of the uncentred augmented design ``[1, X]``, shared
     by both fits; the restricted fit projects the unrestricted estimate onto
@@ -136,7 +146,7 @@ class DesignFactor:
 
     def __init__(self, data):
         self.data = data
-        Xt = data.design()
+        Xt = np.column_stack([np.ones(data.n), data.X])
         self.Xt = Xt
         self.q, self.rmat = np.linalg.qr(Xt, mode="reduced")
         # Singular values of the small triangular factor equal those of the
@@ -153,7 +163,7 @@ class DesignFactor:
     def _finish(self, theta):
         residuals = self.data.y - self.Xt @ theta
         sigma2 = float(residuals @ residuals) / self.data.n
-        return RegressionFit(theta_hat=theta, residuals=residuals, sigma2_hat=sigma2)
+        return OracleFit(theta_hat=theta, residuals=residuals, sigma2_hat=sigma2)
 
     def unrestricted(self):
         return self._finish(self.theta_hat)

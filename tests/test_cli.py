@@ -206,6 +206,23 @@ class TestTheoryCommand:
         assert run_cli(["theory", "--curve", "f", "--grid", "0.9:0.1:0.01"]) == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidGrid:")
 
+    # 0:1e308:1e-308 has finite bounds but an infinite point count
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:0.1", "0:1:inf", "0:nan:0.1", "inf:inf:1", "nan", "0:1e308:1e-308"]
+    )
+    @pytest.mark.parametrize("command", ["theory", "power"])
+    def test_non_finite_grid(self, command, grid, capsys):
+        if command == "theory":
+            argv = ["theory", "--curve", "g", "--grid", grid]
+        else:
+            argv = ["power", "--preset", "DGP1a", "--n", "150", "--alpha1", "0.0",
+                    "--sigma-uv", "0.0", "--beta-grid", grid, "--reps", "10"]  # fmt: skip
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:InvalidGrid:")
+        assert captured.err.count("\n") == 1
+
 
 class TestMisc:
     def test_power_command_smoke(self, tmp_path):

@@ -98,6 +98,37 @@ class TestRunPlan:
         r2 = run_plan(tiny_plan(workers=2, **over))
         assert export_report(r1, "csv") == export_report(r2, "csv")
 
+    @pytest.mark.parametrize(
+        "workers, chunk, replications, pools",
+        [(8, 50, 100, [2]), (8, 250, 100, []), (2, 50, 150, [2])],
+    )
+    def test_pool_starts_no_idle_workers(
+        self, monkeypatch, workers, chunk, replications, pools
+    ):
+        # A pool starts all max_workers processes at its first submit. The
+        # fake pool records what run_plan asks for and runs the chunks here.
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ex, "CHUNK", chunk)
+        monkeypatch.setattr(ex.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        report = run_plan(tiny_plan(workers=workers, replications=replications))
+        assert asked == pools
+        serial = run_plan(tiny_plan(replications=replications))
+        assert export_report(report, "csv") == export_report(serial, "csv")
+
     def test_progress_callback(self):
         seen = []
         run_plan(tiny_plan(), progress=lambda done, total: seen.append((done, total)))

@@ -17,14 +17,14 @@ from splitwald import (
     ChiSquareParams,
     draw_bernoulli_rows,
     draw_statistics,
-    fit_restricted,
-    fit_unrestricted,
+    fit_residuals,
     power_curve_empirical,
     preset,
     run_test,
     simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
+from splitwald.regression import residual_variance
 
 from oracle import (
     WeightSequence,
@@ -224,13 +224,10 @@ class TestRunTest:
         seed = SeedSpec(17)
         out = run_test(data, Restriction.all_slopes(1), cfg, seed)
 
-        unres = fit_unrestricted(data)
-        res = fit_restricted(data, Restriction.all_slopes(1))
+        u0_sq, u1_sq, sigma2_1 = residual_inputs(data, Restriction.all_slopes(1))
         # stream layout 3: the only draw is row 0 of the block drawn at `seed`
         ws = draw_bernoulli_weights(data.n, 0.40, seed)
-        d = compute_d_sequence(
-            res.residuals**2, unres.residuals**2, unres.sigma2_hat, ws
-        )
+        d = compute_d_sequence(u0_sq, u1_sq, sigma2_1, ws)
         shot = single_shot(d)
         # closed form against the two-pass oracle: rounding differs
         assert out.s_m == pytest.approx(shot.s_n, rel=1e-12)
@@ -302,9 +299,9 @@ class TestRunTest:
 
 
 def residual_inputs(data, restriction):
-    unrestricted = fit_unrestricted(data)
-    restricted = fit_restricted(data, restriction)
-    return restricted.residuals**2, unrestricted.residuals**2, unrestricted.sigma2_hat
+    """``(u0^2, u1^2, sigma2_1)`` of one dataset."""
+    u1, u0 = fit_residuals(data.y[None], data.X[None], restriction)
+    return u0[0] ** 2, u1[0] ** 2, float(residual_variance(u1[0]))
 
 
 def assert_matches_oracle(u0_sq, u1_sq, sigma2_1, b, counts):

@@ -205,14 +205,21 @@ class TestGrowthRule:
         with pytest.raises(InvalidP0):
             mn_rule(100, 0.5, 0.5)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.5])
-    def test_one_message_for_the_rule_and_the_config(self, delta):
+    @pytest.mark.parametrize("value", [0.0, 1.5, 2])
+    def test_one_message_for_the_rule_and_the_config(self, value):
         with pytest.raises(InvalidDelta) as rule:
-            mn_rule(100, 0.4, delta)
+            mn_rule(100, 0.4, value)
         with pytest.raises(InvalidDelta) as config:
-            StatisticConfig(mn_delta=delta)
+            StatisticConfig(mn_delta=value)
         assert str(rule.value) == str(config.value)
         assert str(rule.value).startswith("growth exponent mn_delta must lie in (0, 1)")
+        # the level too: the power curve and the config share one rule
+        with pytest.raises(ValueError) as power:
+            asymptotic_power(1.0, 3, value)
+        with pytest.raises(ValueError) as config:
+            StatisticConfig(alpha=value)
+        assert str(power.value) == str(config.value)
+        assert str(power.value).startswith("alpha must lie in (0, 1)")
 
     @pytest.mark.parametrize("delta", ["0.5", True, float("nan")])
     def test_non_real_delta_rejected(self, delta):
