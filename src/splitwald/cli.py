@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_FLAGGED = 3
 
+# Most points a --grid or --beta-grid may hold, checked before the points are
+# listed (about 40 bytes each).
+MAX_GRID_POINTS = 100_000
+
 
 def _parse_seed(text):
     # decimal or hex (0x...) 64-bit
@@ -44,7 +48,8 @@ def _parse_seed(text):
 
 def _parse_grid(text):
     """Parse ``lo:hi:step`` (inclusive within rounding) or a single value.
-    Every number and the point count must be finite."""
+    Every number must be finite, and the point count at most
+    :data:`MAX_GRID_POINTS`."""
     parts = text.split(":")
     if len(parts) == 1:
         parts = [text, text, "1"]  # a single value is the grid v:v:1
@@ -57,6 +62,10 @@ def _parse_grid(text):
     if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
         raise InvalidGrid(f"bad grid {text!r}: need finite lo <= hi and step > 0")
     count = int(round((hi - lo) / step)) + 1
+    if count > MAX_GRID_POINTS:
+        raise InvalidGrid(
+            f"bad grid {text!r}: {count} points, at most {MAX_GRID_POINTS} allowed"
+        )
     values = [lo + i * step for i in range(count)]
     return [v for v in values if v <= hi + 1e-12]
 

@@ -4,22 +4,23 @@ The tests in this package are randomized: each one consumes external i.i.d.
 Bernoulli sequences that are independent of the data. Reproducibility across
 runs, hosts and worker counts therefore hinges on a seeding scheme in which
 every consumer owns a private, addressable stream. :class:`SeedSpec` provides
-that: a ``(master_seed, stream_id)`` pair maps to a counter-based Philox
-stream via :class:`numpy.random.SeedSequence`, and ``child(...)`` derives
-statistically independent sub-streams for nested consumers (replications,
-data channels, a test's Bernoulli draws).
+that: a ``(master_seed, stream_id)`` pair and a derivation path map, through
+the spawn key of a :class:`numpy.random.SeedSequence`, to the seed of an SFC64
+generator, and ``child(...)`` derives statistically independent sub-streams
+for nested consumers (replications, data channels, a test's Bernoulli draws).
+Each consumer builds its own generator from its address; the streams are
+independent through their spawn keys.
 
-Stream layout 3: the ``M`` Bernoulli draws of one test are the rows of one
+Stream layout 4: the ``M`` Bernoulli draws of one test are the rows of one
 ``(M, n)`` block, row ``j - 1`` holding draw ``j``. The block is filled in
 row-major order from consecutive 32-bit halves of the 64-bit words of the
-Philox stream at the test's seed: each word's low half gives one draw and
+SFC64 stream at the test's seed: each word's low half gives one draw and
 its high half the next. A half ``h`` draws a one exactly when
 ``h < ceil(p0 * 2**32)``, so P(one) exceeds ``p0`` by less than ``2**-32``.
 When ``M * n`` is odd, the last word's high half is discarded. A row that
 comes out all zeros or all ones is redrawn, in row order, from the
 continuation of that same stream, each attempt taking ``ceil(n / 2)`` fresh
-words. Philox is counter-based, so the rows are independent and addressable
-without a generator per draw.
+words.
 """
 
 import math
@@ -37,7 +38,7 @@ P0_HALF_GAP = 0.02
 
 # Version of the mapping from seeds to Bernoulli draws described above;
 # recorded in test outcomes and report metadata.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Stream words fetched at a time while filling a block of draws (1 MiB). The
 # words continue one stream, so the draws do not depend on it; it bounds the
@@ -104,8 +105,8 @@ class SeedSpec:
         )
 
     def generator(self):
-        """Instantiate a fresh counter-based generator for this stream."""
-        return np.random.Generator(np.random.Philox(self.seed_sequence()))
+        """Instantiate a fresh SFC64 generator at the start of this stream."""
+        return np.random.Generator(np.random.SFC64(self.seed_sequence()))
 
     def child(self, *key):
         """Derive the independent sub-stream addressed by an integer path."""
@@ -151,7 +152,7 @@ def draw_bernoulli_rows(n, p0, m, seed):
     """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the stream at ``seed``.
 
     Returns the ``(m, n)`` 0/1 float64 matrix and its row counts, for
-    ``n >= 2`` and ``m >= 1``, under stream layout 3 (see the module
+    ``n >= 2`` and ``m >= 1``, under stream layout 4 (see the module
     docstring). Besides the matrix, the draws hold at most one block of
     :data:`DRAW_BLOCK_WORDS` stream words. Every returned row is mixed.
     """

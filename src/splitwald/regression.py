@@ -87,10 +87,6 @@ class Restriction:
         self.null_basis = vt[r:].T
 
     @property
-    def r(self):
-        return self.R.shape[0]
-
-    @property
     def p(self):
         return self.R.shape[1]
 

@@ -14,7 +14,7 @@ The statistics run in two stages, so that the Monte Carlo harness can run
 the first on a stack of replications. :class:`StatisticSetup` fits both
 regressions on an ``(R, n)`` stack and computes, as arrays, everything that
 does not depend on the draws. Then, per replication, the ``M`` draws are the
-rows of one Bernoulli block (stream layout 3, two draws per Philox word, see
+rows of one Bernoulli block (stream layout 4, two draws per SFC64 word, see
 :mod:`splitwald.randomization`). The weights take two values per row, so
 every row's mean and variance of ``d`` are closed forms in three masked
 sums, and one ``(M, n) @ (n, 3)`` product gives all ``M`` statistics without
@@ -261,7 +261,7 @@ def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
 def replication_statistics(setup, r, p0, m, seed):
     """``(s_n, d_bar, s_d2)`` of replication ``r`` of ``setup``, from the
     ``M`` Bernoulli rows drawn at ``seed`` (draw ``j`` is row ``j - 1``,
-    stream layout 3)."""
+    stream layout 4)."""
     b, counts = draw_bernoulli_rows(setup.n, p0, m, seed)
     return setup.statistics(r, b, counts)
 

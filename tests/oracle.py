@@ -15,7 +15,7 @@ replication at a time on it: ``DesignFactor``, then
 ``normal_sf`` and ``p < alpha``, as the harness did before it fitted and set
 up sub-blocks as arrays and decided by the critical value.
 
-``bernoulli_rows_oracle`` defines stream layout 3 arithmetically: it splits
+``bernoulli_rows_oracle`` defines stream layout 4 arithmetically: it splits
 each stream word into its low and high 32-bit halves with Python integers and
 compares each half with ``ceil(p0 * 2**32)`` in exact rational arithmetic,
 one draw at a time, as :func:`splitwald.draw_bernoulli_rows` does for a whole
@@ -182,7 +182,7 @@ class DesignFactor:
                 f"restriction acts on {restriction.p} slopes but data has {self.data.p}"
             )
         theta = self.theta_hat
-        Rt = np.column_stack([np.zeros(restriction.r), restriction.R])
+        Rt = np.column_stack([np.zeros(restriction.R.shape[0]), restriction.R])
         # A^{-1} Rt' through the triangular factor: two small solves
         ainv_rt = np.linalg.solve(self.rmat, np.linalg.solve(self.rmat.T, Rt.T))
         small = Rt @ ainv_rt

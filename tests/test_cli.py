@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def grid_argv(command, grid):
+    """A ``theory --grid`` or ``power --beta-grid`` call on ``grid``."""
+    if command == "theory":
+        return ["theory", "--curve", "g", "--grid", grid]
+    return ["power", "--preset", "DGP1a", "--n", "150", "--alpha1", "0.0",
+            "--sigma-uv", "0.0", "--beta-grid", grid, "--reps", "10"]  # fmt: skip
+
+
 class TestTestCommand:
     def test_basic_run(self, sample_csv, capsys, tmp_path):
         out_path = tmp_path / "outcome.json"
@@ -40,7 +49,7 @@ class TestTestCommand:
         assert doc["m"] == 5
         assert doc["seed"]["master_seed"] == 7
         assert len(doc["per_draw"]) == 5
-        assert doc["stream_layout"] == 3
+        assert doc["stream_layout"] == 4
 
     def test_same_seed_same_p_value(self, sample_csv, capsys):
         run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--seed", "0x2A"])
@@ -132,7 +141,7 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         assert doc["cells"][0]["reps"] == 120
         assert doc["metadata"]["master_seed"] == 13
-        assert doc["metadata"]["stream_layout"] == 3
+        assert doc["metadata"]["stream_layout"] == 4
 
     def test_bad_plan_exit_code(self, tmp_path, capsys):
         plan = tmp_path / "bad.plan"
@@ -212,16 +221,27 @@ class TestTheoryCommand:
     )
     @pytest.mark.parametrize("command", ["theory", "power"])
     def test_non_finite_grid(self, command, grid, capsys):
-        if command == "theory":
-            argv = ["theory", "--curve", "g", "--grid", grid]
-        else:
-            argv = ["power", "--preset", "DGP1a", "--n", "150", "--alpha1", "0.0",
-                    "--sigma-uv", "0.0", "--beta-grid", grid, "--reps", "10"]  # fmt: skip
-        assert run_cli(argv) == 2
+        assert run_cli(grid_argv(command, grid)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ERROR:InvalidGrid:")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["theory", "power"])
+    def test_oversized_grid_is_rejected_before_it_is_listed(self, command, capsys):
+        # listed, 10**9 points would take about 40 GB
+        tracemalloc.start()
+        try:
+            code = run_cli(grid_argv(command, "0:1e9:1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:InvalidGrid:")
+        assert captured.err.count("\n") == 1
+        assert peak < 2**20
 
 
 class TestMisc:

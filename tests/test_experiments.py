@@ -82,7 +82,7 @@ class TestRunPlan:
         )
         assert report.metadata["master_seed"] == 99
         assert "software_version" in report.metadata
-        assert report.metadata["stream_layout"] == 3
+        assert report.metadata["stream_layout"] == 4
 
     def test_worker_count_does_not_change_bytes(self):
         r1 = run_plan(tiny_plan(workers=1, n_grid=(120, 150)))

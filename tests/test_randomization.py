@@ -1,12 +1,21 @@
 import tracemalloc
 from fractions import Fraction
+from hashlib import sha256
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitwald import InvalidLength, InvalidP0, SeedSpec, check_p0, draw_bernoulli_rows
+from splitwald import (
+    InvalidLength,
+    InvalidP0,
+    SeedSpec,
+    check_p0,
+    draw_bernoulli_rows,
+    preset,
+    simulate,
+)
 from splitwald import randomization
 from splitwald.errors import check_integer
 from splitwald.randomization import P0_HIGH, P0_LOW, _half_threshold
@@ -225,3 +234,32 @@ class TestSeedSpec:
         spec = SeedSpec(5, 2).child(3, 4)
         desc = spec.describe()
         assert desc == {"master_seed": 5, "stream_id": 2, "path": [3, 4]}
+
+
+class TestGoldenStream:
+    """Stream layout 4 pinned by digest. A new bit generator, seeding rule
+    or half-word split moves these, so a layout change is always a declared
+    one; on any host and numpy version the digests must stay as they are."""
+
+    def test_streams_are_sfc64(self):
+        assert randomization.STREAM_LAYOUT == 4
+        assert isinstance(SeedSpec(1).generator().bit_generator, np.random.SFC64)
+
+    def test_bernoulli_rows(self):
+        b, _ = draw_bernoulli_rows(1000, 0.40, 50, SeedSpec(1))
+        assert sha256(b.tobytes()).hexdigest() == (
+            "00c7e62cd2ec3ef8e7120e7348ae13b2301790ff719bcb670ba4bf5a7fa50830"
+        )
+
+    def test_simulated_data(self):
+        sample = simulate(preset("DGP1b", 200, alpha1=1.0), SeedSpec(1).child(0))
+        digests = {
+            name: sha256(getattr(sample, name).tobytes()).hexdigest()
+            for name in ("y", "X_lagged", "u")
+        }
+        # mu = 0 and beta = 0, so y equals u
+        assert digests == {
+            "y": "270b4491c323a24eb71c72e6f85566ab0552fa98164ce738b78432642e8960b0",
+            "X_lagged": "317a11f874db45fdee7b0b2bedcfb70573ecaf1c5958aa88ba936d3643f1dd29",
+            "u": "270b4491c323a24eb71c72e6f85566ab0552fa98164ce738b78432642e8960b0",
+        }

@@ -225,7 +225,7 @@ class TestRunTest:
         out = run_test(data, Restriction.all_slopes(1), cfg, seed)
 
         u0_sq, u1_sq, sigma2_1 = residual_inputs(data, Restriction.all_slopes(1))
-        # stream layout 3: the only draw is row 0 of the block drawn at `seed`
+        # stream layout 4: the only draw is row 0 of the block drawn at `seed`
         ws = draw_bernoulli_weights(data.n, 0.40, seed)
         d = compute_d_sequence(u0_sq, u1_sq, sigma2_1, ws)
         shot = single_shot(d)
@@ -359,15 +359,21 @@ class TestClosedFormAgainstOracle:
             assert raised == [None] * 6
 
     def test_near_constant_contrast_crosses_the_guard(self):
-        # d_t = w_t delta z_t - K with z nonzero on five observations only:
-        # s_d2 ~ delta^2 sum(w_t^2 z_t^2) / n moves by up to (k1/k0)^2 from
-        # row to row, so as delta crosses the guard at 1e-14 (1 + K^2) the
-        # first degenerate draw moves past draw 1
+        # d_t = k_t delta z_t - K with z nonzero on five observations only:
+        # s_d2 ~ delta^2 k^2 sum(z_t^2) / n, where k is the weight of those
+        # five in the row. Row 1 holds them in its 100 ones (k1 = 2.5), row 2
+        # in its 400 ones (k1 = 0.625) and row 3 among its 250 zeros
+        # (k0 = 1), so as delta crosses the guard at 1e-14 (1 + K^2), row 1
+        # leaves it first and the first degenerate draw moves to draw 2
         n, big = 500, 3.0
         z = np.zeros(n)
-        z[:5] = SeedSpec(32).generator().standard_normal(5)
+        z[:5] = [0.8, -1.3, 0.5, 2.1, -0.7]
         sigma2_1 = 1.7
-        b, counts = draw_bernoulli_rows(n, 0.40, 25, SeedSpec(33))
+        b = np.zeros((3, n))
+        b[0, :100] = 1.0
+        b[1, :400] = 1.0
+        b[2, 250:] = 1.0
+        counts = b.sum(axis=1)
         outcomes = []
         for delta in np.logspace(-8, -4, 41):
             u0_sq = sigma2_1 + delta * z
