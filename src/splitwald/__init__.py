@@ -30,7 +30,6 @@ from .errors import (
     InvalidLength,
     InvalidP0,
     InvalidProbability,
-    LengthMismatch,
     NonConvergence,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -63,7 +62,6 @@ from .teststats import (
     StatisticConfig,
     TestMode,
     TestOutcome,
-    draw_statistics,
     run_test,
 )
 from .theory import (

@@ -36,8 +36,8 @@ EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_FLAGGED = 3
 
-# Most points a --grid or --beta-grid may hold, checked before the points are
-# listed (about 40 bytes each).
+# Most points a --grid or --beta-grid may hold, and most rows --m-max may ask
+# for, checked before the points are listed (about 40 bytes each).
 MAX_GRID_POINTS = 100_000
 
 
@@ -83,7 +83,8 @@ def _read_csv(path, y_col, x_cols):
 
     The first row is the header. A cell is read as Python ``float()`` reads
     it, quoted or padded with whitespace; other columns may hold anything.
-    A blank line or an empty or non-numeric cell is an error. A file with
+    A UTF-8 byte-order mark is dropped. A blank line or an empty or
+    non-numeric cell is an error. A file with
     only its header gives empty arrays, which ``splitwald test`` rejects as
     ``TooFewRows``. Non-finite values parse here and are rejected later as
     ``NonFiniteInput``.
@@ -95,7 +96,7 @@ def _read_csv(path, y_col, x_cols):
     does not.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise SplitwaldError(f"input file not found: {path}") from None
     cols = [y_col, *x_cols]
@@ -283,8 +284,10 @@ def _cmd_theory(args):
     elif args.curve == "power_vs_m":
         if args.lam < 0:
             raise InvalidGrid(f"--lam must be >= 0, got {args.lam}")
-        if args.m_max < 1:
-            raise InvalidGrid(f"--m-max must be >= 1, got {args.m_max}")
+        if not 1 <= args.m_max <= MAX_GRID_POINTS:
+            raise InvalidGrid(
+                f"--m-max must be in [1, {MAX_GRID_POINTS}], got {args.m_max}"
+            )
         lines = ["m,power"]
         for m in range(1, args.m_max + 1):
             lines.append(f"{m},{asymptotic_power(m * args.lam, m, args.alpha):.6g}")
@@ -396,7 +399,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SplitwaldError, ValueError, OSError) as exc:
+    except (SplitwaldError, ValueError, OSError, MemoryError) as exc:
         print(f"ERROR:{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -65,10 +65,6 @@ class InvalidLength(SplitwaldError):
     """Requested sequence length is too short."""
 
 
-class LengthMismatch(SplitwaldError):
-    """Input sequences do not share a common length."""
-
-
 class DegenerateVariance(SplitwaldError):
     """Contrast sequence has (numerically) zero sample variance."""
 

@@ -11,9 +11,9 @@ A chunk runs as arrays from the fit to the decision. It takes the samples
 of one ``simulate_many`` call in sub-blocks sized by ``dgp.SIM_BATCH_BYTES``;
 each sub-block is one stacked fit and statistic set-up
 (:class:`~splitwald.teststats.StatisticSetup`), and each replication then
-draws its Bernoulli rows. A fixed-M replication is rejected by comparing
-``S_M`` with the chi-square critical value, with the p-value taken only near
-it, so every decision equals ``p < alpha``.
+draws its Bernoulli rows and is scored by ``StatisticSetup.statistics``.
+The decision is :func:`splitwald.teststats.reject_rule`, which equals
+``p < alpha``. This module only chunks, seeds, sub-blocks and counts.
 """
 
 import concurrent.futures
@@ -26,7 +26,6 @@ import numpy as np
 
 from ._version import __version__
 from . import dgp
-from .distributions import chisq_quantile
 from .dgp import DgpSpec, preset, simulate_many
 from .errors import (
     DegenerateVariance,
@@ -36,15 +35,9 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .randomization import STREAM_LAYOUT, SeedSpec
+from .randomization import STREAM_LAYOUT, SeedSpec, draw_bernoulli_rows
 from .regression import Restriction
-from .teststats import (
-    StatisticConfig,
-    StatisticSetup,
-    TestMode,
-    p_value,
-    replication_statistics,
-)
+from .teststats import StatisticConfig, StatisticSetup, reject_rule
 
 # Replications are dispatched in fixed-size chunks so that scheduling (and
 # hence the worker count) cannot influence any per-replication computation.
@@ -52,10 +45,6 @@ CHUNK = 250
 
 # A cell is flagged when more than this fraction of replications degenerates.
 DEGENERATE_CELL_LIMIT = 1e-3
-
-# Relative half-width of the band around the chi-square critical value in
-# which a fixed-M decision computes the p-value.
-GUARD_BAND = 1e-9
 
 # Bound on the arrays of n * (p + 1) float64 values that one replication of
 # a fit sub-block holds at once: the stacked data, its centred copy, the QR
@@ -217,37 +206,6 @@ def _block_width(spec):
     return max(1, dgp.SIM_BATCH_BYTES // per_replication)
 
 
-def _reject_rule(cfg, m):
-    """``reject(s_m)``, equal to ``p_value(s_m, m, cfg.mode)[1] < cfg.alpha``.
-
-    In fixed-M mode it compares ``S_M`` with the chi-square critical value,
-    computed once, and computes the p-value only inside a relative band of
-    ``GUARD_BAND`` around it. The band is checked to hold the point where
-    the p-value crosses ``alpha``, and the p-value is monotone in ``S_M``, so
-    every decision equals the p-value's; if the check fails, every decision
-    takes the p-value. Growing-M mode always takes its normal p-value.
-    """
-
-    def by_p_value(s_m):
-        return p_value(s_m, m, cfg.mode)[1] < cfg.alpha
-
-    if cfg.mode is not TestMode.FIXED_M_CHI_SQUARE:
-        return by_p_value
-    crit = chisq_quantile(1.0 - cfg.alpha, m)
-    lo, hi = crit * (1.0 - GUARD_BAND), crit * (1.0 + GUARD_BAND)
-    if by_p_value(lo) or not by_p_value(hi):
-        return by_p_value
-
-    def reject(s_m):
-        if s_m > hi:
-            return True
-        if s_m < lo:
-            return False
-        return by_p_value(s_m)
-
-    return reject
-
-
 def _run_block(samples, rep_seeds, spec, cfg, restriction, m, reject):
     """``(rejected, degenerate)`` over one sub-block: the next
     ``len(rep_seeds)`` of ``samples``, fitted and set up as one stack."""
@@ -262,7 +220,10 @@ def _run_block(samples, rep_seeds, spec, cfg, restriction, m, reject):
     degenerate = 0
     for i, rep_seed in enumerate(rep_seeds):
         try:
-            s_n = replication_statistics(setup, i, cfg.p0, m, rep_seed.child(1))[0]
+            # one expression, so no draw block outlives its statistics
+            s_n = setup.statistics(
+                i, *draw_bernoulli_rows(spec.n, cfg.p0, m, rep_seed.child(1))
+            )[0]
         except DegenerateVariance:
             degenerate += 1
             continue
@@ -275,7 +236,7 @@ def _run_chunk(payload):
     in sub-blocks of :func:`_block_width` replications."""
     spec, cfg, restriction, seed, cell_id, start, stop = payload
     m = cfg.resolve_m(spec.n)
-    reject = _reject_rule(cfg, m)
+    reject = reject_rule(cfg, m)
     rejected = 0
     degenerate = 0
     rep_seeds = [seed.child(cell_id, r) for r in range(start, stop)]

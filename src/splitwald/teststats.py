@@ -15,18 +15,21 @@ the first on a stack of replications. :class:`StatisticSetup` fits both
 regressions on an ``(R, n)`` stack and computes, as arrays, everything that
 does not depend on the draws. Then, per replication, the ``M`` draws are the
 rows of one Bernoulli block (stream layout 4, two draws per SFC64 word, see
-:mod:`splitwald.randomization`). The weights take two values per row, so
-every row's mean and variance of ``d`` are closed forms in three masked
-sums, and one ``(M, n) @ (n, 3)`` product gives all ``M`` statistics without
-forming any ``d``. :func:`run_test` and :func:`draw_statistics` are the
-one-replication case of the same two stages.
+:mod:`splitwald.randomization`), and :meth:`StatisticSetup.statistics` scores
+them: the weights take two values per row, so every row's mean and variance
+of ``d`` are closed forms in three masked sums, and one ``(M, n) @ (n, 3)``
+product gives all ``M`` statistics without forming any ``d``.
+:func:`run_test` is the one-replication case of the same two stages.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
 statistic to a two-sided standard-normal region; an upper-tail-only normal
 region would systematically over-reject at realistic draw counts because
 the chi-square's right skew has not died out yet, and the benchmark size
-tables are only reproduced by the two-sided convention.
+tables are only reproduced by the two-sided convention. :func:`p_value`
+gives the p-value of either mode, and :func:`reject_rule` the harness's
+decision, which equals ``p < alpha`` but takes the p-value only near the
+fixed-M critical value.
 """
 
 import math
@@ -35,15 +38,16 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import ChiSquareParams, chisq_sf, normal_sf
-from .errors import (
-    DegenerateVariance,
-    LengthMismatch,
-    check_integer,
-)
+from .distributions import ChiSquareParams, chisq_quantile, chisq_sf, normal_sf
+from .errors import DegenerateVariance, check_integer
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
 from .regression import fit_residuals, residual_variance
 from .theory import check_alpha, check_mn_delta, mn_rule
+
+
+# Relative half-width of the band around the chi-square critical value in
+# which a fixed-M decision computes the p-value.
+GUARD_BAND = 1e-9
 
 
 class TestMode(Enum):
@@ -168,6 +172,11 @@ class StatisticSetup:
     mean of ``d`` up to a split term of order ``s_d / sqrt(n)``, so the
     one-pass variance does not cancel when ``d`` is far from zero or nearly
     constant.
+
+    A caller draws each replication's rows with
+    :func:`~splitwald.randomization.draw_bernoulli_rows` and scores them with
+    :meth:`statistics`; the decision on their sum is :func:`reject_rule` in
+    the harness and :func:`p_value` in :func:`run_test`.
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
@@ -192,10 +201,6 @@ class StatisticSetup:
         u1 **= 2
         u0 **= 2
         return cls(u0, u1, sigma2_1)
-
-    @property
-    def n(self):
-        return self.rows.shape[2]
 
     def statistics(self, r, b, counts):
         """``(s_n, d_bar, s_d2)`` of replication ``r`` for the ``(M, n)``
@@ -233,39 +238,6 @@ class StatisticSetup:
         return n * d_bar * d_bar / s_d2, d_bar, s_d2
 
 
-def draw_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
-    """Single-shot statistics of every Bernoulli row, in closed form.
-
-    ``b`` is the ``(M, n)`` 0/1 matrix of the draws and ``counts`` its row
-    sums. This is the one-replication case of :class:`StatisticSetup`.
-    Returns the arrays ``(s_n, d_bar, s_d2)``, with the n-divisor variance.
-    A row whose ``d`` is numerically constant cannot be studentized and
-    raises :class:`DegenerateVariance` carrying the first such draw (1-based).
-    """
-    u0_sq = np.asarray(u0_sq, dtype=np.float64)
-    u1_sq = np.asarray(u1_sq, dtype=np.float64)
-    m, n = b.shape
-    if not u0_sq.shape == u1_sq.shape == (n,) or counts.shape != (m,):
-        raise LengthMismatch(
-            f"length mismatch: u0 {u0_sq.shape}, u1 {u1_sq.shape}, "
-            f"draws {b.shape}, counts {counts.shape}"
-        )
-    if n < 2:
-        raise LengthMismatch(f"need at least 2 observations, got {n}")
-    if sigma2_1 < 0:
-        raise ValueError(f"sigma2_1 must be >= 0, got {sigma2_1!r}")
-    setup = StatisticSetup(u0_sq[None], u1_sq[None], np.array([float(sigma2_1)]))
-    return setup.statistics(0, b, counts)
-
-
-def replication_statistics(setup, r, p0, m, seed):
-    """``(s_n, d_bar, s_d2)`` of replication ``r`` of ``setup``, from the
-    ``M`` Bernoulli rows drawn at ``seed`` (draw ``j`` is row ``j - 1``,
-    stream layout 4)."""
-    b, counts = draw_bernoulli_rows(setup.n, p0, m, seed)
-    return setup.statistics(r, b, counts)
-
-
 def p_value(s_m, m, mode):
     """``(q, p)``: the centred-scaled statistic and the p-value of ``S_M``.
 
@@ -276,6 +248,37 @@ def p_value(s_m, m, mode):
     if mode is TestMode.FIXED_M_CHI_SQUARE:
         return q, chisq_sf(s_m, ChiSquareParams(df=m))
     return q, min(2.0 * normal_sf(abs(q)), 1.0)
+
+
+def reject_rule(cfg, m):
+    """``reject(s_m)``, equal to ``p_value(s_m, m, cfg.mode)[1] < cfg.alpha``.
+
+    In fixed-M mode it compares ``S_M`` with the chi-square critical value,
+    computed once, and computes the p-value only inside a relative band of
+    ``GUARD_BAND`` around it. The band is checked to hold the point where
+    the p-value crosses ``alpha``, and the p-value is monotone in ``S_M``, so
+    every decision equals the p-value's; if the check fails, every decision
+    takes the p-value. Growing-M mode always takes its normal p-value.
+    """
+
+    def by_p_value(s_m):
+        return p_value(s_m, m, cfg.mode)[1] < cfg.alpha
+
+    if cfg.mode is not TestMode.FIXED_M_CHI_SQUARE:
+        return by_p_value
+    crit = chisq_quantile(1.0 - cfg.alpha, m)
+    lo, hi = crit * (1.0 - GUARD_BAND), crit * (1.0 + GUARD_BAND)
+    if by_p_value(lo) or not by_p_value(hi):
+        return by_p_value
+
+    def reject(s_m):
+        if s_m > hi:
+            return True
+        if s_m < lo:
+            return False
+        return by_p_value(s_m)
+
+    return reject
 
 
 def run_test(data, restriction, cfg, seed):
@@ -289,7 +292,8 @@ def run_test(data, restriction, cfg, seed):
     """
     m = cfg.resolve_m(data.n)
     setup = StatisticSetup.fit(data.y[None], data.X[None], restriction)
-    s_n, d_bar, s_d2 = replication_statistics(setup, 0, cfg.p0, m, seed)
+    b, counts = draw_bernoulli_rows(data.n, cfg.p0, m, seed)
+    s_n, d_bar, s_d2 = setup.statistics(0, b, counts)
     s_m = float(s_n.sum())
     q, p = p_value(s_m, m, cfg.mode)
     return TestOutcome(

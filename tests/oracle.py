@@ -4,14 +4,15 @@
 weights, ``compute_d_sequence`` materializes the contrast sequence of that
 draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
-(:func:`splitwald.draw_statistics`).
+(:meth:`splitwald.teststats.StatisticSetup.statistics`);
+``closed_form_statistics`` calls it on a set-up of one replication.
 
 ``DesignFactor`` fits one dataset, coefficients included, through the QR
 of its uncentred augmented design, as the library did before
 :func:`splitwald.regression.fit_residuals` fitted the residuals of a
 centred stack of replications. ``run_plan_oracle`` runs a plan one
 replication at a time on it: ``DesignFactor``, then
-:func:`splitwald.draw_statistics`, then the p-value from ``chisq_sf`` or
+``closed_form_statistics``, then the p-value from ``chisq_sf`` or
 ``normal_sf`` and ``p < alpha``, as the harness did before it fitted and set
 up sub-blocks as arrays and decided by the critical value.
 
@@ -42,7 +43,6 @@ from splitwald import (
     ColumnMissing,
     DegenerateVariance,
     InvalidLength,
-    LengthMismatch,
     RegressionData,
     SeedSpec,
     SimulatedSample,
@@ -53,11 +53,28 @@ from splitwald import (
     TooFewRows,
     chisq_sf,
     draw_bernoulli_rows,
-    draw_statistics,
     normal_sf,
     simulate,
 )
 from splitwald.regression import RCOND_TOL
+from splitwald.teststats import StatisticSetup
+
+
+class LengthMismatch(SplitwaldError):
+    """The oracle's inputs do not share a common length."""
+
+
+def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
+    """``(s_n, d_bar, s_d2)`` of the ``(M, n)`` rows ``b`` (row sums
+    ``counts``) by the library's closed form: a :class:`StatisticSetup` of
+    one replication with these squared residuals and unrestricted variance.
+    """
+    setup = StatisticSetup(
+        np.asarray(u0_sq, dtype=np.float64)[None],
+        np.asarray(u1_sq, dtype=np.float64)[None],
+        np.array([float(sigma2_1)]),
+    )
+    return setup.statistics(0, b, counts)
 
 
 @dataclass
@@ -213,7 +230,7 @@ def run_plan_oracle(plan):
             restricted = factor.restricted(restriction)
             b, counts = draw_bernoulli_rows(n, cfg.p0, m, rep_seed.child(1))
             try:
-                s_n, _, _ = draw_statistics(
+                s_n, _, _ = closed_form_statistics(
                     restricted.residuals**2,
                     unrestricted.residuals**2,
                     unrestricted.sigma2_hat,
@@ -338,7 +355,7 @@ def read_csv_oracle(path, y_col, x_cols):
     arrays for it instead.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise SplitwaldError(f"input file not found: {path}") from None
     with fh:

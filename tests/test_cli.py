@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from splitwald import SeedSpec, preset
+from splitwald import SeedSpec, cli, preset
 from splitwald.cli import main
 
 
@@ -50,6 +50,19 @@ class TestTestCommand:
         assert doc["seed"]["master_seed"] == 7
         assert len(doc["per_draw"]) == 5
         assert doc["stream_layout"] == 4
+
+    def test_failed_allocation_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # 10**12 draws of 29 observations would take 211 TiB; numpy refuses
+        # the block at once, so nothing is allocated
+        lines = ["y,x1"] + [f"{0.1 * t},{(-1) ** t * 0.3 * t}" for t in range(30)]
+        path = tmp_path / "small.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(["test", path, "--y", "y", "--x", "x1", "--m", 10**12])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:MemoryError:")
+        assert captured.err.count("\n") == 1
 
     def test_same_seed_same_p_value(self, sample_csv, capsys):
         run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--seed", "0x2A"])
@@ -242,6 +255,16 @@ class TestTheoryCommand:
         assert captured.err.startswith("ERROR:InvalidGrid:")
         assert captured.err.count("\n") == 1
         assert peak < 2**20
+
+    def test_oversized_m_max_is_rejected_before_any_row(self, capsys, monkeypatch):
+        # 10**9 rows would run for hours: no power is computed at all
+        monkeypatch.setattr(cli, "asymptotic_power", None)
+        code = run_cli(["theory", "--curve", "power_vs_m", "--m-max", 10**9])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:InvalidGrid:")
+        assert captured.err.count("\n") == 1
 
 
 class TestMisc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splitwald.experiments as ex
+import splitwald.teststats as ts
 from splitwald import (
     ChiSquareParams,
     DegenerateVariance,
@@ -167,17 +168,17 @@ class TestRunPlan:
         assert cell.replications == 150
 
     def test_degenerate_replications_excluded_and_counted(self, monkeypatch):
-        # the chunk's per-replication stage: draws, statistics, degeneracy check
-        real = ex.replication_statistics
+        # the chunk's per-replication stage: statistics, degeneracy check
+        real = ts.StatisticSetup.statistics
         calls = {"n": 0}
 
-        def flaky(setup, r, p0, m, seed):
+        def flaky(setup, r, b, counts):
             calls["n"] += 1
             if calls["n"] % 4 == 0:
                 raise DegenerateVariance("forced", draw_index=1)
-            return real(setup, r, p0, m, seed)
+            return real(setup, r, b, counts)
 
-        monkeypatch.setattr(ex, "replication_statistics", flaky)
+        monkeypatch.setattr(ts.StatisticSetup, "statistics", flaky)
         report = run_plan(tiny_plan())
         cell = report.cells[0]
         assert cell.degenerate == 25
@@ -265,8 +266,8 @@ ORACLE_CONFIGS = {
 
 class TestAgainstOracle:
     """run_plan's reject and degenerate counts equal those of the
-    per-replication path: the per-dataset fit, draw_statistics and the
-    p-value against alpha."""
+    per-replication path: the per-dataset fit, the closed form of a
+    one-replication set-up and the p-value against alpha."""
 
     @staticmethod
     def assert_counts_match(plan):
@@ -298,12 +299,13 @@ class TestAgainstOracle:
 
 
 class TestDecision:
-    """The chunk decides a fixed-M replication by the critical value and
-    takes the p-value only near it; every decision equals p < alpha."""
+    """The chunk decides a fixed-M replication by teststats.reject_rule: the
+    critical value, with the p-value taken only near it; every decision
+    equals p < alpha."""
 
     @staticmethod
     def edge_points(crit):
-        lo, hi = crit * (1.0 - ex.GUARD_BAND), crit * (1.0 + ex.GUARD_BAND)
+        lo, hi = crit * (1.0 - ts.GUARD_BAND), crit * (1.0 + ts.GUARD_BAND)
         points = [crit, np.nextafter(crit, -np.inf), np.nextafter(crit, np.inf)]
         for edge in (lo, hi):
             points += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
@@ -318,10 +320,10 @@ class TestDecision:
         points = self.edge_points(chisq_quantile(1.0 - alpha, m))
         calls = iter(points)
 
-        def at_points(setup, r, p0, m_, seed):
+        def at_points(setup, r, b, counts):
             return np.array([next(calls)]), None, None
 
-        monkeypatch.setattr(ex, "replication_statistics", at_points)
+        monkeypatch.setattr(ts.StatisticSetup, "statistics", at_points)
         spec = preset("DGP1a", 40, alpha1=0.0, burn_in=10)
         cfg = StatisticConfig(m=m, alpha=alpha)
         payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(3), 0, 0, len(points))
@@ -335,36 +337,41 @@ class TestDecision:
         # then takes the p-value
         m, alpha = 5, 0.10
         crit = chisq_quantile(1.0 - alpha, m)
-        monkeypatch.setattr(ex, "chisq_quantile", lambda prob, df: shift * crit)
-        rule = ex._reject_rule(StatisticConfig(m=m, alpha=alpha), m)
+        monkeypatch.setattr(ts, "chisq_quantile", lambda prob, df: shift * crit)
+        rule = ts.reject_rule(StatisticConfig(m=m, alpha=alpha), m)
         points = self.edge_points(crit) + self.edge_points(shift * crit)
         for s in points:
             assert rule(s) == self.by_p_value(s, m, alpha)
 
     def test_growing_mode_takes_the_normal_p_value(self):
         cfg = StatisticConfig.growing(mn_delta=1.0 / 3.0)
-        rule = ex._reject_rule(cfg, 17)
+        rule = ts.reject_rule(cfg, 17)
         for s in np.linspace(0.0, 60.0, 601):
             q = (s - 17) / np.sqrt(34.0)
             assert rule(float(s)) == (min(2.0 * normal_sf(abs(q)), 1.0) < cfg.alpha)
 
 
 def test_chunk_peak_memory_is_bounded():
-    # one chunk of the DGP1b, n=1000, M=50 cell: the simulate batch, one draw
-    # block, and 1 MiB of slack for the sub-block's fit stacks (measured at
-    # 0.43 MiB with numpy 2.4)
-    spec = preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9)
-    cfg = StatisticConfig(p0=0.40, m=50)
-    payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(5), 0, 0, ex.CHUNK)
-    ex._run_chunk(payload[:-2] + (0, 20))  # first-call allocations
-    tracemalloc.start()
-    try:
-        ex._run_chunk(payload)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    draw_block = 50 * 1000 * 8
-    assert peak <= dgp.SIM_BATCH_BYTES + draw_block + 2**20
+    # one chunk of a cell: the simulate batch, one draw block of M * n, and
+    # 1 MiB of slack for the sub-block's fit stacks (measured at 0.43 MiB
+    # with numpy 2.4 on the DGP1b, n=1000, M=50 cell, whose sub-blocks hold
+    # 16 replications; the DGP2c_ii, n=2000, M=18 cell's hold 4, of p=3)
+    cases = [
+        (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
+        (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),
+    ]
+    for spec, cfg in cases:
+        restriction = Restriction.all_slopes(spec.p)
+        payload = (spec, cfg, restriction, SeedSpec(5), 0, 0, ex.CHUNK)
+        ex._run_chunk(payload[:-2] + (0, 20))  # first-call allocations
+        tracemalloc.start()
+        try:
+            ex._run_chunk(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = cfg.resolve_m(spec.n)
+        assert peak <= dgp.SIM_BATCH_BYTES + m * spec.n * 8 + 2**20, (spec.label, m, peak)
 
 
 class TestExport:

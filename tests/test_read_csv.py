@@ -27,6 +27,7 @@ CORPUS = [
     ("fortran-exponent", "y,x1\n1.5d0,2\n", "y", ["x1"]),
     ("unicode-minus", "y,x1\n−1.5,2\n", "y", ["x1"]),
     ("float-forms", "y,x1\n+1.5,1E5\n.5,4.\n", "y", ["x1"]),
+    ("byte-order-mark", "\ufeffy,x1\n1.5,-2.25\n3,4\n", "y", ["x1"]),
     ("nbsp-padded", "y,x1\n\xa01.5\xa0,2\n3,4\n", "y", ["x1"]),
     ("nul", "y,x1\n1.5\x00,2\n", "y", ["x1"]),
     # row shape
@@ -61,7 +62,8 @@ CORPUS = [
 PARITY = [case for case in CORPUS if case[0] != "header-only"]
 # Files that one np.loadtxt call parses: the row scanner must not run.
 CLEAN = [
-    "plain", "quoted", "quoted-padded", "nan", "float-forms", "nbsp-padded",
+    "plain", "quoted", "quoted-padded", "nan", "float-forms", "byte-order-mark",
+    "nbsp-padded",
     "trailing-comma", "longer-row", "text-column", "crlf", "no-final-eol",
     "final-bare-cr", "form-feed-row-end", "vertical-tab-unused",
     "quoted-comma-unused", "doubled-quote-unused", "space-after-quote",
@@ -151,6 +153,20 @@ class TestCorpus:
             assert cli.main(["test", str(path), "--y", "y", "--x", "x1,x2"]) == 2
         assert y.shape == (0,) and X.shape == (0, 2)
         assert capsys.readouterr().err.startswith("ERROR:TooFewRows:")
+
+    def test_byte_order_mark_changes_no_output(self, tmp_path, capsys):
+        gen = np.random.default_rng(5)
+        rows = [f"{y:.10f},{x:.10f}" for y, x in gen.standard_normal((40, 2))]
+        text = "y,x1\n" + "\n".join(rows) + "\n"
+        results = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = write(tmp_path / f"{name}.csv", prefix + text)
+            out = tmp_path / f"{name}.json"
+            argv = ["test", str(path), "--y", "y", "--x", "x1", "--out", str(out)]
+            assert cli.main(argv) == 0
+            results.append((capsys.readouterr().out, out.read_bytes()))
+        assert (tmp_path / "bom.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert results[1] == results[0]
 
     def test_unusual_values_parse_as_float_reads_them(self, tmp_path):
         path = write(tmp_path / "u.csv", "y,x1\n1_000,１\n-Infinity,\xa0.5\n")
