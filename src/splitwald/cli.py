@@ -282,8 +282,8 @@ def _cmd_theory(args):
         for p0 in grid:
             lines.append(f"{p0:.6g},{fn(p0):.6g}")
     elif args.curve == "power_vs_m":
-        if args.lam < 0:
-            raise InvalidGrid(f"--lam must be >= 0, got {args.lam}")
+        if not 0 <= args.lam < math.inf:
+            raise InvalidGrid(f"--lam must be finite and >= 0, got {args.lam}")
         if not 1 <= args.m_max <= MAX_GRID_POINTS:
             raise InvalidGrid(
                 f"--m-max must be in [1, {MAX_GRID_POINTS}], got {args.m_max}"

@@ -13,15 +13,23 @@ and jointly Gaussian shocks ``(zeta_t, v_t) ~ N(0, omega)``. The named
 presets reproduce the benchmark scenarios used throughout the experiment
 suite.
 
-:func:`simulate_many` simulates a batch: each seed draws its shocks from its
-own stream into one time-major buffer, and the recursions step over time on
-every replication at once. A batch that updates fewer than
+:func:`simulate_many` simulates a batch: each seed builds the generator of
+its stream and draws its shocks into one time-major buffer, and the
+recursions step over time on every replication at once. A batch that
+updates fewer than
 ``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
 bits, and :func:`simulate` is the one-seed case. A call splits its seeds
 into the fewest near-equal batches whose buffer fits in ``SIM_BATCH_BYTES``
 (2 MiB) and frees each batch's buffer before it allocates the next.
+
+Each sample hands back its generator as :attr:`SimulatedSample.stream`,
+positioned just after its shocks, so that the replication's Bernoulli draws
+continue the same stream (stream layout 5, see
+:mod:`splitwald.randomization`). A batch builds the generators of its own
+seeds only, so at most one batch's generators are alive beyond the samples
+that a caller still holds.
 """
 
 import math
@@ -191,12 +199,14 @@ class DgpSpec:
 
 @dataclass
 class SimulatedSample:
-    """One simulated dataset: predictand, lagged predictors, and the errors
-    that generated it (kept for diagnostics)."""
+    """One simulated dataset: predictand, lagged predictors, the errors
+    that generated it (kept for diagnostics), and the generator of its
+    stream, positioned after the shocks it drew."""
 
     y: np.ndarray
     X_lagged: np.ndarray
     u: np.ndarray
+    stream: np.random.Generator
 
 
 def simulate_many(spec, seeds):
@@ -210,7 +220,8 @@ def simulate_many(spec, seeds):
     ``SIM_BATCH_BYTES``. The first replication whose state is not finite or
     exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
     position in ``seeds`` as ``index``, before any sample of its batch is
-    produced. Yields :class:`SimulatedSample` objects, in seed order.
+    produced. Yields :class:`SimulatedSample` objects, in seed order, each
+    holding its seed's generator positioned after the shocks it drew.
     """
     widest = max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
     total = len(seeds)
@@ -228,16 +239,18 @@ def _simulate_batch(spec, seeds, start):
     """The samples of one batch of :func:`simulate_many`, whose first seed
     is at position ``start``.
 
-    Seed ``r`` draws its shocks into slice ``r`` of one time-major buffer,
-    whose row 0 is the zero start state, and the recursions run in place on
-    it; both recursion paths apply the same operations in the same order.
+    Seed ``r`` draws its shocks from its generator into slice ``r`` of one
+    time-major buffer, whose row 0 is the zero start state, and the
+    recursions run in place on it; both recursion paths apply the same
+    operations in the same order.
     """
     width = len(seeds)
     total = spec.burn_in + spec.n
     buf = np.empty((total + 1, spec.p + 1, width))
     buf[0] = 0.0
-    for r, seed in enumerate(seeds):
-        shocks = seed.generator().standard_normal((total, spec.p + 1))
+    streams = [seed.generator() for seed in seeds]
+    for r, stream in enumerate(streams):
+        shocks = stream.standard_normal((total, spec.p + 1))
         buf[1:, :, r] = shocks @ spec._lower.T
     if width * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
         for r in range(width):
@@ -246,7 +259,7 @@ def _simulate_batch(spec, seeds, start):
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
     _check_overflow(buf, start)
-    return (_sample(spec, buf[:, :, r]) for r in range(width))
+    return (_sample(spec, buf[:, :, r], streams[r]) for r in range(width))
 
 
 def simulate(spec, seed):
@@ -345,13 +358,13 @@ def _check_overflow(buf, start=0):
     )
 
 
-def _sample(spec, state):
+def _sample(spec, state, stream):
     """The usable observations of one replication's slice of the buffer."""
     b, n = spec.burn_in, spec.n
     X_lagged = state[b : b + n, 1:].copy()
     u = state[b + 1 : b + 1 + n, 0].copy()
     y = spec.mu + X_lagged @ spec.beta + u
-    return SimulatedSample(y=y, X_lagged=X_lagged, u=u)
+    return SimulatedSample(y=y, X_lagged=X_lagged, u=u, stream=stream)
 
 
 def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=200):

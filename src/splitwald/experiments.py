@@ -2,21 +2,26 @@
 
 A plan enumerates cells as the product of sample sizes, tuning
 probabilities and true slopes for one scenario. Each replication ``r`` of
-cell ``c`` runs on the private stream ``(master_seed, c, r)``: the data
-channel is its 0-child and the test's Bernoulli draws are the stream at its
-1-child. Rejections are aggregated by exact integer counting, so reports
-are bit-identical for a fixed master seed regardless of the worker count.
+cell ``c`` owns the one private stream at ``seed.child(c, r)`` (stream
+layout 5): it draws its data shocks from the start of the stream and its
+Bernoulli rows from the continuation. Rejections are aggregated by exact
+integer counting, so reports are bit-identical for a fixed master seed
+regardless of the worker count.
 
 A chunk runs as arrays from the fit to the decision. It takes the samples
-of one ``simulate_many`` call in sub-blocks sized by ``dgp.SIM_BATCH_BYTES``;
-each sub-block is one stacked fit and statistic set-up
-(:class:`~splitwald.teststats.StatisticSetup`), and each replication then
-draws its Bernoulli rows and is scored by ``StatisticSetup.statistics``.
-The decision is :func:`splitwald.teststats.reject_rule`, which equals
-``p < alpha``. This module only chunks, seeds, sub-blocks and counts.
+of one ``simulate_many`` call, each with its stream, in sub-blocks sized by
+``dgp.SIM_BATCH_BYTES``; each sub-block is one stacked fit and statistic
+set-up (:class:`~splitwald.teststats.StatisticSetup`). Each replication
+then draws its Bernoulli rows from its stream and takes their
+``StatisticSetup.sums``, and one ``StatisticSetup.statistics`` call scores
+the sub-block. The decision is :func:`splitwald.teststats.reject_rule`,
+which equals ``p < alpha``. This module only chunks, seeds, sub-blocks and
+counts.
 """
 
 import concurrent.futures
+import csv
+import io
 import json
 import time
 from collections.abc import Iterable
@@ -28,7 +33,6 @@ from ._version import __version__
 from . import dgp
 from .dgp import DgpSpec, preset, simulate_many
 from .errors import (
-    DegenerateVariance,
     EmptyReport,
     NumericOverflow,
     PlanParseError,
@@ -206,29 +210,26 @@ def _block_width(spec):
     return max(1, dgp.SIM_BATCH_BYTES // per_replication)
 
 
-def _run_block(samples, rep_seeds, spec, cfg, restriction, m, reject):
-    """``(rejected, degenerate)`` over one sub-block: the next
-    ``len(rep_seeds)`` of ``samples``, fitted and set up as one stack."""
-    y = np.empty((len(rep_seeds), spec.n))
-    X = np.empty((len(rep_seeds), spec.n, spec.p))
-    for i, sample in zip(range(len(rep_seeds)), samples):
+def _run_block(samples, width, spec, cfg, restriction, m, reject):
+    """``(rejected, degenerate)`` over one sub-block: the next ``width`` of
+    ``samples``, fitted and set up as one stack, each replication's draws
+    taken from its sample's stream, and scored together."""
+    y = np.empty((width, spec.n))
+    X = np.empty((width, spec.n, spec.p))
+    streams = []
+    for i, sample in zip(range(width), samples):
         y[i] = sample.y
         X[i] = sample.X_lagged
+        streams.append(sample.stream)
     setup = StatisticSetup.fit(y, X, restriction)
     del y, X
-    rejected = 0
-    degenerate = 0
-    for i, rep_seed in enumerate(rep_seeds):
-        try:
-            # one expression, so no draw block outlives its statistics
-            s_n = setup.statistics(
-                i, *draw_bernoulli_rows(spec.n, cfg.p0, m, rep_seed.child(1))
-            )[0]
-        except DegenerateVariance:
-            degenerate += 1
-            continue
-        rejected += reject(float(s_n.sum()))
-    return rejected, degenerate
+    sums = np.empty((width, m, 4))
+    for i, stream in enumerate(streams):
+        # one expression, so no draw block outlives its sums
+        setup.sums(i, draw_bernoulli_rows(spec.n, cfg.p0, m, stream), out=sums[i])
+    s_n, _, _, degenerate = setup.statistics(sums)
+    rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
+    return rejected, int(degenerate.sum())
 
 
 def _run_chunk(payload):
@@ -239,13 +240,14 @@ def _run_chunk(payload):
     reject = reject_rule(cfg, m)
     rejected = 0
     degenerate = 0
-    rep_seeds = [seed.child(cell_id, r) for r in range(start, stop)]
-    samples = simulate_many(spec, [s.child(0) for s in rep_seeds])
+    seeds = [seed.child(cell_id, r) for r in range(start, stop)]
+    samples = simulate_many(spec, seeds)
     width = _block_width(spec)
     try:
-        for lo in range(0, len(rep_seeds), width):
-            block = rep_seeds[lo : lo + width]
-            counts = _run_block(samples, block, spec, cfg, restriction, m, reject)
+        for lo in range(start, stop, width):
+            counts = _run_block(
+                samples, min(width, stop - lo), spec, cfg, restriction, m, reject
+            )
             rejected += counts[0]
             degenerate += counts[1]
     except NumericOverflow as exc:
@@ -353,26 +355,38 @@ def _fmt(x):
     return format(float(x), ".6g")
 
 
+def _csv_record(fields):
+    r"""One CSV record ending in ``\n``. ``csv`` quotes a field that holds a
+    character of its line terminator, so terminating the record with
+    ``\r\n`` quotes a field holding a CR or an LF; the ``\r\n`` is then cut
+    to ``\n``.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2] + "\n"
+
+
 def export_report(report, fmt="csv"):
     """Serialize a report to CSV or JSON bytes.
 
     The CSV carries one row per cell with 6-significant-digit decimals and
     no metadata (so exports are byte-comparable across runs); multiple
     persistence exponents are joined with ``|`` in the ``alpha`` column.
+    Fields are quoted as ``csv`` quotes them, so a label holding a comma,
+    quote or line break reads back as one field; other rows are plain.
     JSON keeps full float precision and includes the metadata block.
     """
     if not report.cells:
         raise EmptyReport("report has no cells")
     fmt = str(fmt).lower()
     if fmt == "csv":
-        lines = ["dgp,n,p0,alpha,beta,rejection_rate,mc_se,reps"]
+        lines = ["dgp,n,p0,alpha,beta,rejection_rate,mc_se,reps\n"]
         for c in report.cells:
             alpha = "|".join(_fmt(a) for a in c.alpha_vec)
-            lines.append(
-                f"{c.dgp_label},{c.n},{_fmt(c.p0)},{alpha},{_fmt(c.beta)},"
-                f"{_fmt(c.rejection_rate)},{_fmt(c.mc_se)},{c.replications}"
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+            fields = [c.dgp_label, c.n, _fmt(c.p0), alpha, _fmt(c.beta),
+                      _fmt(c.rejection_rate), _fmt(c.mc_se), c.replications]  # fmt: skip
+            lines.append(_csv_record(fields))
+        return "".join(lines).encode("utf-8")
     if fmt == "json":
         doc = {
             "cells": [c.as_dict() for c in report.cells],

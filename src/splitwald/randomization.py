@@ -7,20 +7,25 @@ every consumer owns a private, addressable stream. :class:`SeedSpec` provides
 that: a ``(master_seed, stream_id)`` pair and a derivation path map, through
 the spawn key of a :class:`numpy.random.SeedSequence`, to the seed of an SFC64
 generator, and ``child(...)`` derives statistically independent sub-streams
-for nested consumers (replications, data channels, a test's Bernoulli draws).
-Each consumer builds its own generator from its address; the streams are
-independent through their spawn keys.
+for nested consumers (cells, replications). Each consumer builds its own
+generator from its address; the streams are independent through their spawn
+keys.
 
-Stream layout 4: the ``M`` Bernoulli draws of one test are the rows of one
-``(M, n)`` block, row ``j - 1`` holding draw ``j``. The block is filled in
-row-major order from consecutive 32-bit halves of the 64-bit words of the
-SFC64 stream at the test's seed: each word's low half gives one draw and
-its high half the next. A half ``h`` draws a one exactly when
-``h < ceil(p0 * 2**32)``, so P(one) exceeds ``p0`` by less than ``2**-32``.
-When ``M * n`` is odd, the last word's high half is discarded. A row that
-comes out all zeros or all ones is redrawn, in row order, from the
-continuation of that same stream, each attempt taking ``ceil(n / 2)`` fresh
-words.
+Stream layout 5: the ``M`` Bernoulli draws of one test are the rows of one
+``(M, n)`` block, row ``j - 1`` holding draw ``j``, read by
+:func:`draw_bernoulli_rows` from a generator wherever it stands. A Monte
+Carlo replication draws its data shocks first and its rows from the
+continuation of the same stream; ``splitwald test`` draws them from the
+start of the stream at its seed. The block is filled in row-major order from
+consecutive 16-bit quarters of the 64-bit words of the stream, lowest
+quarter first, so each word gives four draws. A quarter ``q`` draws a one
+exactly when ``q < ceil(p0 * 2**16)``, so P(one) exceeds ``p0`` by less than
+``2**-16`` (0.400009 at ``p0 = 0.40``); the statistics weigh each row by its
+realised share of ones, not by ``p0``, so the test's validity does not rest
+on that excess. When ``M * n`` is not a multiple of four, the last word's
+unused quarters are discarded. A row that comes out all zeros or all ones is
+redrawn, in row order, from the continuation of the stream, each attempt
+taking ``ceil(n / 4)`` fresh words.
 """
 
 import math
@@ -38,12 +43,18 @@ P0_HALF_GAP = 0.02
 
 # Version of the mapping from seeds to Bernoulli draws described above;
 # recorded in test outcomes and report metadata.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Stream words fetched at a time while filling a block of draws (1 MiB). The
 # words continue one stream, so the draws do not depend on it; it bounds the
 # draws' memory to the block plus this buffer.
 DRAW_BLOCK_WORDS = 2**17
+
+# Leading draws of a row checked before it is summed: a row mixed among them
+# is mixed. Only a row whose leading draws are all alike, with probability
+# below 1e-9 at 64 draws and p0 in [0.30, 0.70], is summed in full. It sets
+# no draw, only the work of finding the rows to redraw.
+MIX_CHECK = 64
 
 _U64 = 2**64
 
@@ -80,8 +91,8 @@ class SeedSpec:
     Distinct ``(master_seed, stream_id)`` pairs yield statistically
     independent streams; the same pair yields bit-identical output on every
     host and under any thread schedule. ``path`` extends the address for
-    nested consumers (replication, Bernoulli draw index, data channel) and
-    is normally populated through :meth:`child` rather than directly.
+    nested consumers (a plan's cell and replication) and is normally
+    populated through :meth:`child` rather than directly.
     """
 
     master_seed: int
@@ -123,37 +134,38 @@ class SeedSpec:
         }
 
 
-def _half_threshold(p0):
-    """``ceil(p0 * 2**32)``: a 32-bit half ``h`` draws a one iff ``h`` is below it.
+def _quarter_threshold(p0):
+    """``ceil(p0 * 2**16)``: a 16-bit quarter ``q`` draws a one iff ``q`` is below it.
 
-    Scaling by a power of two is exact, so ``h < ceil(p0 * 2**32)`` holds
-    exactly when ``h * 2**-32 < p0``.
+    Scaling by a power of two is exact, so ``q < ceil(p0 * 2**16)`` holds
+    exactly when ``q * 2**-16 < p0``.
     """
-    return math.ceil(p0 * 2.0**32)
+    return math.ceil(p0 * 2.0**16)
 
 
 def _fill_draws(out, bits, threshold):
-    """Set the 1-D float64 ``out`` to the draws of the next stream halves.
+    """Set the 1-D float64 ``out`` to the draws of the next stream quarters.
 
-    Takes ``ceil(out.size / 2)`` words, at most :data:`DRAW_BLOCK_WORDS` at
-    a time, and discards the last high half when ``out.size`` is odd.
+    Takes ``ceil(out.size / 4)`` words, at most :data:`DRAW_BLOCK_WORDS` at
+    a time, and discards the last word's unused quarters.
     """
-    step = 2 * DRAW_BLOCK_WORDS
+    step = 4 * DRAW_BLOCK_WORDS
     for start in range(0, out.size, step):
         part = out[start : start + step]
-        words = bits.random_raw((part.size + 1) // 2)
-        # low half first on any host: the words as little-endian bytes
-        halves = words.astype("<u8", copy=False).view("<u4")
-        np.less(halves[: part.size], threshold, out=part)
-        del words, halves  # free this block before the next one is drawn
+        words = bits.random_raw(-(-part.size // 4))
+        # lowest quarter first on any host: the words as little-endian bytes
+        quarters = words.astype("<u8", copy=False).view("<u2")
+        np.less(quarters[: part.size], threshold, out=part)
+        del words, quarters  # free this block before the next one is drawn
 
 
-def draw_bernoulli_rows(n, p0, m, seed):
-    """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the stream at ``seed``.
+def draw_bernoulli_rows(n, p0, m, gen):
+    """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the generator ``gen``.
 
-    Returns the ``(m, n)`` 0/1 float64 matrix and its row counts, for
-    ``n >= 2`` and ``m >= 1``, under stream layout 4 (see the module
-    docstring). Besides the matrix, the draws hold at most one block of
+    Returns the ``(m, n)`` 0/1 float64 matrix, for ``n >= 2`` and
+    ``m >= 1``, under stream layout 5 (see the module docstring): the draws
+    read on from wherever ``gen`` stands and leave it after the last word
+    they took. Besides the matrix, the draws hold at most one block of
     :data:`DRAW_BLOCK_WORDS` stream words. Every returned row is mixed.
     """
     try:
@@ -161,13 +173,12 @@ def draw_bernoulli_rows(n, p0, m, seed):
         m = check_integer("m", m, 1)
     except ValueError as exc:
         raise InvalidLength(str(exc)) from None
-    threshold = np.uint32(_half_threshold(check_p0(p0)))
-    bits = seed.generator().bit_generator
+    threshold = np.uint16(_quarter_threshold(check_p0(p0)))
+    bits = gen.bit_generator
     b = np.empty((m, n))
     _fill_draws(b.reshape(-1), bits, threshold)
-    counts = b.sum(axis=1)
-    for j in np.flatnonzero((counts == 0.0) | (counts == n)):
-        while not 0.0 < counts[j] < n:
+    head = b[:, :MIX_CHECK].sum(axis=1)
+    for j in np.flatnonzero((head == 0.0) | (head == min(n, MIX_CHECK))).tolist():
+        while b[j].sum() in (0.0, n):
             _fill_draws(b[j], bits, threshold)
-            counts[j] = b[j].sum()
-    return b, counts
+    return b

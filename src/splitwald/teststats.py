@@ -11,14 +11,17 @@ null; its centered and scaled version ``(S_M - M) / sqrt(2 M)`` is standard
 normal when ``M`` grows with the sample (but slower than it).
 
 The statistics run in two stages, so that the Monte Carlo harness can run
-the first on a stack of replications. :class:`StatisticSetup` fits both
+both on a stack of replications. :class:`StatisticSetup` fits both
 regressions on an ``(R, n)`` stack and computes, as arrays, everything that
-does not depend on the draws. Then, per replication, the ``M`` draws are the
-rows of one Bernoulli block (stream layout 4, two draws per SFC64 word, see
-:mod:`splitwald.randomization`), and :meth:`StatisticSetup.statistics` scores
-them: the weights take two values per row, so every row's mean and variance
-of ``d`` are closed forms in three masked sums, and one ``(M, n) @ (n, 3)``
-product gives all ``M`` statistics without forming any ``d``.
+does not depend on the draws. Per replication, the ``M`` draws are the rows
+of one Bernoulli block (stream layout 5, four draws per SFC64 word, see
+:mod:`splitwald.randomization`), and one ``(M, n) @ (n, 4)`` product
+(:meth:`StatisticSetup.sums`) gives each row's three masked sums and its
+count of ones. The weights take two values per row, so every row's mean and
+variance of ``d`` are closed forms in those sums.
+:meth:`StatisticSetup.statistics` evaluates them once for the whole stack on
+``(R, M)`` arrays, without forming any ``d``, and marks the replications
+with a degenerate draw.
 :func:`run_test` is the one-replication case of the same two stages.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
@@ -163,9 +166,10 @@ class StatisticSetup:
     With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` of the draws has
     ``d_t = k_t a_t - c_t`` where ``k_t`` is ``1/(2 b_bar)`` on its ones and
     ``1/(2 (1 - b_bar))`` on its zeros, so ``sum(d)`` and ``sum(d^2)`` follow
-    from the masked sums ``b @ [a, a^2, a c]`` and fixed totals. The set-up
-    holds the ``(R, 3, n)`` rows ``[a, a^2, a c]``, their totals and the sum
-    and square sum of ``c``, computed on the whole stack at once.
+    from the masked sums ``b @ [a, a^2, a c]``, the row's count of ones
+    ``b @ 1`` and fixed totals. The set-up holds the ``(R, 4, n)`` rows
+    ``[a, a^2, a c, 1]``, their totals and the sum and square sum of ``c``,
+    computed on the whole stack at once.
 
     The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
     ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
@@ -174,20 +178,22 @@ class StatisticSetup:
     constant.
 
     A caller draws each replication's rows with
-    :func:`~splitwald.randomization.draw_bernoulli_rows` and scores them with
-    :meth:`statistics`; the decision on their sum is :func:`reject_rule` in
-    the harness and :func:`p_value` in :func:`run_test`.
+    :func:`~splitwald.randomization.draw_bernoulli_rows`, takes their
+    :meth:`sums` and scores the stack's sums with :meth:`statistics`; the
+    decision on each replication's total is :func:`reject_rule` in the
+    harness and :func:`p_value` in :func:`run_test`.
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
-        self.rows = np.empty((u0_sq.shape[0], 3, u0_sq.shape[1]))
+        self.rows = np.empty((u0_sq.shape[0], 4, u0_sq.shape[1]))
         a = np.subtract(u0_sq, sigma2_1[:, None], out=self.rows[:, 0])
         c = u1_sq - sigma2_1[:, None]
         self.m0 = a.mean(axis=1) - c.mean(axis=1)
         c += self.m0[:, None]
         np.multiply(a, a, out=self.rows[:, 1])
         np.multiply(a, c, out=self.rows[:, 2])
-        self.totals = self.rows.sum(axis=2)
+        self.rows[:, 3] = 1.0
+        self.totals = self.rows[:, :3].sum(axis=2)
         self.c_sum = c.sum(axis=1)
         self.c_sq = (c[:, None, :] @ c[:, :, None])[:, 0, 0]
 
@@ -202,40 +208,63 @@ class StatisticSetup:
         u0 **= 2
         return cls(u0, u1, sigma2_1)
 
-    def statistics(self, r, b, counts):
-        """``(s_n, d_bar, s_d2)`` of replication ``r`` for the ``(M, n)``
-        0/1 draws ``b`` with row sums ``counts``: one ``(M, n) @ (n, 3)``
-        product and the closed form, with the n-divisor variance.
+    def sums(self, r, b, out=None):
+        """The ``(M, 4)`` sums ``b @ [a, a^2, a c, 1]`` of replication ``r``
+        for its ``(M, n)`` 0/1 draws ``b``: the three masked sums and the
+        count of ones of every row, in one product."""
+        return np.matmul(b, self.rows[r].T, out=out)
 
-        A row whose ``d`` is numerically constant cannot be studentized and
-        raises :class:`DegenerateVariance` carrying the first such draw
-        (1-based).
+    def statistics(self, sums):
+        """``(s_n, d_bar, s_d2, degenerate)`` of the ``(R, M, 4)`` stack of
+        every replication's :meth:`sums`: the closed form on ``(R, M)``
+        arrays, with the n-divisor variance, and the ``(R,)`` mask of the
+        replications with a degenerate draw.
+
+        A draw whose ``d`` is numerically constant cannot be studentized;
+        its ``s_n`` is meaningless, and its replication is marked.
         """
-        m, n = b.shape
-        s_a, s_aa, s_ac = (b @ self.rows[r].T).T
-        t_a, t_aa, t_ac = self.totals[r]
+        n = self.rows.shape[2]
+        s_a, s_aa, s_ac, counts = np.moveaxis(sums, 2, 0)
+        t_a, t_aa, t_ac = (t[:, None] for t in self.totals.T)
         b_bar = counts / n
         k1 = 0.5 / b_bar
         k0 = 0.5 / (1.0 - b_bar)
-        sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[r]
+        sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[:, None]
         sum_d2 = (
             k1 * k1 * s_aa
             + k0 * k0 * (t_aa - s_aa)
             - 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
-            + self.c_sq[r]
+            + self.c_sq[:, None]
         )
         shift = sum_d / n
-        d_bar = self.m0[r] + shift
+        d_bar = self.m0[:, None] + shift
         s_d2 = sum_d2 / n - shift * shift
-        degenerate = np.flatnonzero(s_d2 < 1e-14 * (1.0 + d_bar * d_bar))
-        if degenerate.size:
-            j = int(degenerate[0])
-            raise DegenerateVariance(
-                f"Bernoulli draw {j + 1} of {m}: contrast sequence has numerically "
-                f"zero variance (s_d2={s_d2[j]:.3e})",
-                draw_index=j + 1,
-            )
-        return n * d_bar * d_bar / s_d2, d_bar, s_d2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_n = n * d_bar * d_bar / s_d2
+        return s_n, d_bar, s_d2, _degenerate(d_bar, s_d2).any(axis=1)
+
+
+def _degenerate(d_bar, s_d2):
+    """Where a draw's contrast ``d`` is numerically constant."""
+    return s_d2 < 1e-14 * (1.0 + d_bar * d_bar)
+
+
+def _one_replication(setup, b):
+    """``(s_n, d_bar, s_d2)`` of the one replication of ``setup`` for its
+    ``(M, n)`` draws ``b``: the one-replication case of
+    :meth:`StatisticSetup.statistics`, which raises
+    :class:`DegenerateVariance` carrying the first degenerate draw
+    (1-based)."""
+    s_n, d_bar, s_d2, degenerate = setup.statistics(setup.sums(0, b)[None])
+    s_n, d_bar, s_d2 = s_n[0], d_bar[0], s_d2[0]
+    if degenerate[0]:
+        j = int(np.argmax(_degenerate(d_bar, s_d2)))
+        raise DegenerateVariance(
+            f"Bernoulli draw {j + 1} of {b.shape[0]}: contrast sequence has "
+            f"numerically zero variance (s_d2={s_d2[j]:.3e})",
+            draw_index=j + 1,
+        )
+    return s_n, d_bar, s_d2
 
 
 def p_value(s_m, m, mode):
@@ -286,14 +315,15 @@ def run_test(data, restriction, cfg, seed):
 
     The one-replication case of the harness's path: fits the restricted and
     unrestricted regressions in a :class:`StatisticSetup` of one
-    replication, draws the ``M`` Bernoulli rows at ``seed``, computes every
-    single-shot statistic, aggregates them and returns the outcome with its
-    :func:`p_value`.
+    replication, draws the ``M`` Bernoulli rows from the start of the
+    stream at ``seed``, computes every single-shot statistic, aggregates
+    them and returns the outcome with its :func:`p_value`. A degenerate
+    draw raises :class:`DegenerateVariance` carrying its 1-based index.
     """
     m = cfg.resolve_m(data.n)
     setup = StatisticSetup.fit(data.y[None], data.X[None], restriction)
-    b, counts = draw_bernoulli_rows(data.n, cfg.p0, m, seed)
-    s_n, d_bar, s_d2 = setup.statistics(0, b, counts)
+    b = draw_bernoulli_rows(data.n, cfg.p0, m, seed.generator())
+    s_n, d_bar, s_d2 = _one_replication(setup, b)
     s_m = float(s_n.sum())
     q, p = p_value(s_m, m, cfg.mode)
     return TestOutcome(

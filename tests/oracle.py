@@ -10,21 +10,24 @@ library computes the same quantities for all draws at once in closed form
 ``DesignFactor`` fits one dataset, coefficients included, through the QR
 of its uncentred augmented design, as the library did before
 :func:`splitwald.regression.fit_residuals` fitted the residuals of a
-centred stack of replications. ``run_plan_oracle`` runs a plan one
-replication at a time on it: ``DesignFactor``, then
-``closed_form_statistics``, then the p-value from ``chisq_sf`` or
-``normal_sf`` and ``p < alpha``, as the harness did before it fitted and set
-up sub-blocks as arrays and decided by the critical value.
+centred stack of replications. ``replication_oracle`` runs one replication
+on one generator: ``simulate_oracle`` from the start of the stream,
+``DesignFactor``, the Bernoulli rows from the continuation of the same
+stream, ``closed_form_statistics``, then the p-value from ``chisq_sf`` or
+``normal_sf`` and ``p < alpha``, as the harness did before it fitted, set up
+and scored sub-blocks as arrays and decided by the critical value.
+``run_plan_oracle`` runs a plan through it one replication at a time.
 
-``bernoulli_rows_oracle`` defines stream layout 4 arithmetically: it splits
-each stream word into its low and high 32-bit halves with Python integers and
-compares each half with ``ceil(p0 * 2**32)`` in exact rational arithmetic,
-one draw at a time, as :func:`splitwald.draw_bernoulli_rows` does for a whole
-block through a 32-bit view of the words.
+``bernoulli_rows_oracle`` defines stream layout 5 arithmetically: it splits
+each stream word into its four 16-bit quarters with Python integers, lowest
+first, and compares each quarter with ``ceil(p0 * 2**16)`` in exact rational
+arithmetic, one draw at a time, as :func:`splitwald.draw_bernoulli_rows`
+does for a whole block through a 16-bit view of the words.
 
 ``simulate_oracle`` runs the data-generating recursions one time step at a
 time, all predictors together, as :func:`splitwald.simulate` did before it
-ran one AR recursion per series.
+ran one AR recursion per series. It draws the shocks from a generator and
+leaves it after them, as :func:`splitwald.simulate_many` does.
 
 ``read_csv_oracle`` reads a `splitwald test` CSV one record at a time with
 ``csv`` and ``float()``, as ``splitwald.cli._read_csv`` did before it parsed
@@ -54,27 +57,28 @@ from splitwald import (
     chisq_sf,
     draw_bernoulli_rows,
     normal_sf,
-    simulate,
 )
 from splitwald.regression import RCOND_TOL
-from splitwald.teststats import StatisticSetup
+from splitwald.teststats import StatisticSetup, _one_replication
 
 
 class LengthMismatch(SplitwaldError):
     """The oracle's inputs do not share a common length."""
 
 
-def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b, counts):
-    """``(s_n, d_bar, s_d2)`` of the ``(M, n)`` rows ``b`` (row sums
-    ``counts``) by the library's closed form: a :class:`StatisticSetup` of
-    one replication with these squared residuals and unrestricted variance.
+def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b):
+    """``(s_n, d_bar, s_d2)`` of the ``(M, n)`` rows ``b`` by the library's
+    closed form: a :class:`StatisticSetup` of one replication with these
+    squared residuals and unrestricted variance, scored as ``run_test``
+    scores it, raising :class:`DegenerateVariance` at the first degenerate
+    draw.
     """
     setup = StatisticSetup(
         np.asarray(u0_sq, dtype=np.float64)[None],
         np.asarray(u1_sq, dtype=np.float64)[None],
         np.array([float(sigma2_1)]),
     )
-    return setup.statistics(0, b, counts)
+    return _one_replication(setup, b)
 
 
 @dataclass
@@ -108,31 +112,32 @@ class WeightSequence:
 def draw_bernoulli_weights(n, p0, seed):
     """Draw one i.i.d. Bernoulli(n, p0) sequence and its weights.
 
-    This is row 0 of :func:`splitwald.draw_bernoulli_rows` at ``seed``: a
-    degenerate draw is redrawn from the continuation of the same stream, so
-    the weights are always defined.
+    This is row 0 of :func:`splitwald.draw_bernoulli_rows` from the start
+    of the stream at ``seed``: a degenerate draw is redrawn from the
+    continuation of the same stream, so the weights are always defined.
     """
-    b, _ = draw_bernoulli_rows(n, p0, 1, seed)
+    b = draw_bernoulli_rows(n, p0, 1, seed.generator())
     return WeightSequence.from_draws(b[0], p0)
 
 
-def bernoulli_rows_oracle(n, p0, m, seed):
-    """Draw-by-draw reference for :func:`splitwald.draw_bernoulli_rows`.
+def bernoulli_rows_oracle(n, p0, m, gen):
+    """Draw-by-draw reference for :func:`splitwald.draw_bernoulli_rows`,
+    reading on from wherever the generator ``gen`` stands.
 
-    The ``m * n`` draws take consecutive 32-bit halves of the stream words,
-    low half first, in row-major order; a half ``h`` is a one exactly when
-    ``h < ceil(p0 * 2**32)``. A degenerate row is redrawn, in row order,
-    from ``ceil(n / 2)`` fresh words per attempt. An odd count of halves
-    drops the last word's high half.
+    The ``m * n`` draws take consecutive 16-bit quarters of the stream
+    words, lowest quarter first, in row-major order; a quarter ``q`` is a
+    one exactly when ``q < ceil(p0 * 2**16)``. A degenerate row is redrawn,
+    in row order, from ``ceil(n / 4)`` fresh words per attempt. The last
+    word's quarters beyond the count are dropped.
     """
-    threshold = math.ceil(Fraction(p0) * 2**32)
-    bits = seed.generator().bit_generator
+    threshold = math.ceil(Fraction(p0) * 2**16)
+    bits = gen.bit_generator
 
     def draws(count):
-        halves = []
-        for x in bits.random_raw((count + 1) // 2).tolist():
-            halves += [x & 0xFFFFFFFF, x >> 32]
-        return [1.0 if h < threshold else 0.0 for h in halves[:count]]
+        quarters = []
+        for x in bits.random_raw(-(-count // 4)).tolist():
+            quarters += [(x >> shift) & 0xFFFF for shift in (0, 16, 32, 48)]
+        return [1.0 if q < threshold else 0.0 for q in quarters[:count]]
 
     flat = draws(m * n)
     rows = [flat[j * n : (j + 1) * n] for j in range(m)]
@@ -212,40 +217,49 @@ class DesignFactor:
         return self._finish(theta - correction)
 
 
+def replication_oracle(spec, cfg, restriction, gen):
+    """The decision of one replication whose stream has the generator
+    ``gen``, or None when it degenerates: its data from the start of the
+    stream, its Bernoulli rows from the continuation."""
+    sample = simulate_oracle(spec, gen)
+    factor = DesignFactor(RegressionData(sample.y, sample.X_lagged))
+    unrestricted = factor.unrestricted()
+    restricted = factor.restricted(restriction)
+    m = cfg.resolve_m(spec.n)
+    b = draw_bernoulli_rows(spec.n, cfg.p0, m, gen)
+    try:
+        s_n, _, _ = closed_form_statistics(
+            restricted.residuals**2,
+            unrestricted.residuals**2,
+            unrestricted.sigma2_hat,
+            b,
+        )
+    except DegenerateVariance:
+        return None
+    s_m = float(s_n.sum())
+    if cfg.mode is TestMode.FIXED_M_CHI_SQUARE:
+        p_value = chisq_sf(s_m, ChiSquareParams(df=m))
+    else:
+        p_value = min(2.0 * normal_sf(abs((s_m - m) / math.sqrt(2.0 * m))), 1.0)
+    return p_value < cfg.alpha
+
+
 def run_plan_oracle(plan):
     """``(rejected, degenerate)`` of every cell of ``plan``, in cell order,
-    one replication at a time: the reference for
-    :func:`splitwald.run_plan`'s counts."""
+    one replication at a time on the stream at ``seed.child(cell, r)``: the
+    reference for :func:`splitwald.run_plan`'s counts."""
     seed = SeedSpec(plan.master_seed, plan.seed_stream)
     out = []
     for cid, n, p0, beta in plan.cells():
         spec, cfg, restriction = plan.build_cell(n, p0, beta)
-        m = cfg.resolve_m(n)
         rejected = degenerate = 0
         for r in range(plan.replications):
-            rep_seed = seed.child(cid, r)
-            sample = simulate(spec, rep_seed.child(0))
-            factor = DesignFactor(RegressionData(sample.y, sample.X_lagged))
-            unrestricted = factor.unrestricted()
-            restricted = factor.restricted(restriction)
-            b, counts = draw_bernoulli_rows(n, cfg.p0, m, rep_seed.child(1))
-            try:
-                s_n, _, _ = closed_form_statistics(
-                    restricted.residuals**2,
-                    unrestricted.residuals**2,
-                    unrestricted.sigma2_hat,
-                    b,
-                    counts,
-                )
-            except DegenerateVariance:
+            gen = seed.child(cid, r).generator()
+            decision = replication_oracle(spec, cfg, restriction, gen)
+            if decision is None:
                 degenerate += 1
-                continue
-            s_m = float(s_n.sum())
-            if cfg.mode is TestMode.FIXED_M_CHI_SQUARE:
-                p_value = chisq_sf(s_m, ChiSquareParams(df=m))
             else:
-                p_value = min(2.0 * normal_sf(abs((s_m - m) / math.sqrt(2.0 * m))), 1.0)
-            rejected += p_value < cfg.alpha
+                rejected += decision
         out.append((rejected, degenerate))
     return out
 
@@ -309,11 +323,13 @@ def draw_statistics_oracle(u0_sq, u1_sq, sigma2_1, b, p0=0.40):
     return shots
 
 
-def simulate_oracle(spec, seed):
-    """Row-wise reference for :func:`splitwald.simulate` (no overflow guard)."""
+def simulate_oracle(spec, gen):
+    """Row-wise reference for :func:`splitwald.simulate` (no overflow guard),
+    drawing the shocks from the generator ``gen``. Returns the sample with
+    ``gen`` as its stream."""
     p = spec.p
     total = spec.burn_in + spec.n
-    shocks = seed.generator().standard_normal((total, p + 1)) @ spec._lower.T
+    shocks = gen.standard_normal((total, p + 1)) @ spec._lower.T
 
     eps = []
     e2 = spec.theta0 / (1.0 - spec.theta1)  # stationary ARCH variance start
@@ -339,7 +355,7 @@ def simulate_oracle(spec, seed):
     X_lagged = np.array(x_rows)[b : b + spec.n]
     u_keep = np.array(u)[b : b + spec.n]
     y = spec.mu + X_lagged @ spec.beta + u_keep
-    return SimulatedSample(y=y, X_lagged=X_lagged, u=u_keep)
+    return SimulatedSample(y=y, X_lagged=X_lagged, u=u_keep, stream=gen)
 
 
 def replication_bytes(spec):

@@ -49,7 +49,7 @@ class TestTestCommand:
         assert doc["m"] == 5
         assert doc["seed"]["master_seed"] == 7
         assert len(doc["per_draw"]) == 5
-        assert doc["stream_layout"] == 4
+        assert doc["stream_layout"] == 5
 
     def test_failed_allocation_exits_2_with_one_error_line(self, tmp_path, capsys):
         # 10**12 draws of 29 observations would take 211 TiB; numpy refuses
@@ -154,7 +154,7 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         assert doc["cells"][0]["reps"] == 120
         assert doc["metadata"]["master_seed"] == 13
-        assert doc["metadata"]["stream_layout"] == 4
+        assert doc["metadata"]["stream_layout"] == 5
 
     def test_bad_plan_exit_code(self, tmp_path, capsys):
         plan = tmp_path / "bad.plan"
@@ -223,6 +223,14 @@ class TestTheoryCommand:
         power = [float(r.split(",")[1]) for r in rows[1:]]
         assert len(power) == 8
         assert all(b > a for a, b in zip(power, power[1:]))
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lam(self, lam, capsys):
+        assert run_cli(["theory", "--curve", "power_vs_m", "--lam", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:InvalidGrid: --lam")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_grid(self, capsys):
         assert run_cli(["theory", "--curve", "f", "--grid", "0.9:0.1:0.01"]) == 2

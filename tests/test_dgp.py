@@ -34,6 +34,15 @@ def innovations(sample, spec):
     return sample.u[: v.shape[0]], v
 
 
+def assert_same_sample(got, ref):
+    """Equal data, and streams left at the same place: just after the shocks."""
+    assert np.array_equal(got.y, ref.y)
+    assert np.array_equal(got.X_lagged, ref.X_lagged)
+    assert np.array_equal(got.u, ref.u)
+    next_words = [s.stream.bit_generator.random_raw(2) for s in (got, ref)]
+    assert np.array_equal(*next_words)
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(cholesky_lower(np.eye(4)), np.eye(4))
@@ -227,10 +236,8 @@ class TestSimulate:
         spec = preset(name, 300, phi0=0.25, beta=0.1, burn_in=50, **kwargs)
         for r in range(20):
             got = simulate(spec, SeedSpec(11, r))
-            ref = simulate_oracle(spec, SeedSpec(11, r))
-            assert np.array_equal(got.y, ref.y)
-            assert np.array_equal(got.X_lagged, ref.X_lagged)
-            assert np.array_equal(got.u, ref.u)
+            ref = simulate_oracle(spec, SeedSpec(11, r).generator())
+            assert_same_sample(got, ref)
 
     @pytest.mark.parametrize("burn_in", [0, 1, 50])
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -244,10 +251,8 @@ class TestSimulate:
             samples = list(simulate_many(spec, seeds))
             assert len(samples) == width
             for seed, got in zip(seeds, samples):
-                ref = simulate_oracle(spec, seed)
-                assert np.array_equal(got.y, ref.y)
-                assert np.array_equal(got.X_lagged, ref.X_lagged)
-                assert np.array_equal(got.u, ref.u)
+                ref = simulate_oracle(spec, seed.generator())
+                assert_same_sample(got, ref)
                 assert got.X_lagged.flags.c_contiguous and got.X_lagged.shape == (60, spec.p)
 
     @pytest.mark.parametrize(
@@ -326,10 +331,8 @@ class TestBatches:
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
         for seed, got in zip(seeds, simulate_many(self.SPEC, seeds), strict=True):
-            ref = simulate_oracle(self.SPEC, seed)
-            assert np.array_equal(got.y, ref.y)
-            assert np.array_equal(got.X_lagged, ref.X_lagged)
-            assert np.array_equal(got.u, ref.u)
+            ref = simulate_oracle(self.SPEC, seed.generator())
+            assert_same_sample(got, ref)
         assert self.widths(monkeypatch, self.SPEC, 96) == [width] * (96 // width)
 
     def test_fewest_near_equal_batches(self, monkeypatch):

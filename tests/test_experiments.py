@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,13 +11,11 @@ import splitwald.experiments as ex
 import splitwald.teststats as ts
 from splitwald import (
     ChiSquareParams,
-    DegenerateVariance,
     DgpSpec,
     EmptyReport,
     NumericOverflow,
     PlanParseError,
     PresetRef,
-    RegressionData,
     Restriction,
     SeedSpec,
     StatisticConfig,
@@ -26,12 +27,11 @@ from splitwald import (
     normal_sf,
     plan_from_dict,
     preset,
-    run_test,
 )
 from splitwald import dgp
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
 
-from oracle import replication_bytes, run_plan_oracle, simulate_oracle
+from oracle import replication_bytes, replication_oracle, run_plan_oracle
 
 
 def tiny_plan(**over):
@@ -83,7 +83,7 @@ class TestRunPlan:
         )
         assert report.metadata["master_seed"] == 99
         assert "software_version" in report.metadata
-        assert report.metadata["stream_layout"] == 4
+        assert report.metadata["stream_layout"] == 5
 
     def test_worker_count_does_not_change_bytes(self):
         r1 = run_plan(tiny_plan(workers=1, n_grid=(120, 150)))
@@ -168,15 +168,15 @@ class TestRunPlan:
         assert cell.replications == 150
 
     def test_degenerate_replications_excluded_and_counted(self, monkeypatch):
-        # the chunk's per-replication stage: statistics, degeneracy check
+        # the sub-block's batched statistics mark every fourth replication
         real = ts.StatisticSetup.statistics
-        calls = {"n": 0}
+        seen = {"n": 0}
 
-        def flaky(setup, r, b, counts):
-            calls["n"] += 1
-            if calls["n"] % 4 == 0:
-                raise DegenerateVariance("forced", draw_index=1)
-            return real(setup, r, b, counts)
+        def flaky(setup, sums):
+            s_n, d_bar, s_d2, degenerate = real(setup, sums)
+            ordinal = seen["n"] + np.arange(1, len(degenerate) + 1)
+            seen["n"] += len(degenerate)
+            return s_n, d_bar, s_d2, degenerate | (ordinal % 4 == 0)
 
         monkeypatch.setattr(ts.StatisticSetup, "statistics", flaky)
         report = run_plan(tiny_plan())
@@ -205,18 +205,44 @@ class TestBatches:
     @pytest.mark.parametrize("width", [1, 16, 32, 96])
     def test_batch_width_does_not_change_counts(self, monkeypatch, width):
         # 96 replications run as 96 or 6 scalar batches, 3 array batches of
-        # 32, or one array batch; each must match the one-at-a-time oracle
+        # 32, or one array batch; each must match the one-at-a-time oracle,
+        # which simulates from the replication's generator and then draws
+        # from that same generator
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         rejected = degenerate = 0
         for r in range(250, 346):
-            rep_seed = self.SEED.child(3, r)
-            sample = simulate_oracle(self.SPEC, rep_seed.child(0))
-            data = RegressionData(sample.y, sample.X_lagged)
-            try:
-                rejected += run_test(data, self.RESTRICTION, self.CFG, rep_seed.child(1)).reject
-            except DegenerateVariance:
+            gen = self.SEED.child(3, r).generator()
+            decision = replication_oracle(self.SPEC, self.CFG, self.RESTRICTION, gen)
+            if decision is None:
                 degenerate += 1
+            else:
+                rejected += decision
         assert self.chunk(250, 346) == (3, rejected, degenerate)
+
+    def test_one_generator_per_replication_alive_only_with_its_batch(self, monkeypatch):
+        # every replication builds one generator, for its shocks and draws
+        # alike; a simulate batch builds its own only, so a chunk never holds
+        # much more than one batch's generators
+        spec = preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9)
+        cfg = StatisticConfig(p0=0.40, m=50)
+        real = SeedSpec.generator
+        built = []
+
+        class Traced(np.random.Generator):  # a generator that takes weak references
+            pass
+
+        def spy(seed):
+            alive = sum(ref() is not None for ref in built)
+            assert alive <= 84 + ex._block_width(spec), alive
+            gen = Traced(real(seed).bit_generator)
+            built.append(weakref.ref(gen))
+            return gen
+
+        monkeypatch.setattr(SeedSpec, "generator", spy)
+        payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(5), 0, 0, ex.CHUNK)
+        ex._run_chunk(payload)
+        assert len(built) == ex.CHUNK == 250
+        assert all(ref() is None for ref in built)
 
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
         # simulate_many names the failing seed by its position in the chunk's
@@ -320,8 +346,9 @@ class TestDecision:
         points = self.edge_points(chisq_quantile(1.0 - alpha, m))
         calls = iter(points)
 
-        def at_points(setup, r, b, counts):
-            return np.array([next(calls)]), None, None
+        def at_points(setup, sums):
+            s_n = np.array([[next(calls)] for _ in range(len(sums))])
+            return s_n, None, None, np.zeros(len(sums), dtype=bool)
 
         monkeypatch.setattr(ts.StatisticSetup, "statistics", at_points)
         spec = preset("DGP1a", 40, alpha1=0.0, burn_in=10)
@@ -353,9 +380,11 @@ class TestDecision:
 
 def test_chunk_peak_memory_is_bounded():
     # one chunk of a cell: the simulate batch, one draw block of M * n, and
-    # 1 MiB of slack for the sub-block's fit stacks (measured at 0.43 MiB
-    # with numpy 2.4 on the DGP1b, n=1000, M=50 cell, whose sub-blocks hold
-    # 16 replications; the DGP2c_ii, n=2000, M=18 cell's hold 4, of p=3)
+    # 1 MiB of slack for the sub-block's fit stacks and the batch's
+    # generators (measured at 0.58 MiB with numpy 2.4 on the DGP1b, n=1000,
+    # M=50 cell, whose batches hold 84 generators and sub-blocks 16
+    # replications; 0.61 MiB on the DGP2c_ii, n=2000, M=18 cell, whose
+    # sub-blocks hold 4, of p=3)
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
         (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),
@@ -393,6 +422,21 @@ class TestExport:
         lines = text.strip().split("\n")
         assert lines[0] == "dgp,n,p0,alpha,beta,rejection_rate,mc_se,reps"
         assert lines[1] == "DGP1a,500,0.4,1,0,0.0925,0.0064758,2000"
+
+    @pytest.mark.parametrize(
+        "label", ["my,dgp", 'say "x"', "cr\rx", "lf\nx", "my,dgp\nx", "a\r\nb"]
+    )
+    def test_csv_label_round_trips(self, label):
+        # a comma, quote, CR or LF in a label is quoted, not a new field or row
+        rep = self.demo_report()
+        rep.cells[0].dgp_label = label
+        rep.cells.append(self.demo_report().cells[0])
+        text = export_report(rep, "csv").decode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [len(row) for row in rows] == [8, 8, 8]
+        assert rows[1][0] == label
+        assert rows[2] == "DGP1a,500,0.4,1,0,0.0925,0.0064758,2000".split(",")
+        assert text.endswith("\n") and not text.endswith("\r\n")
 
     def test_multi_alpha_column(self):
         rep = self.demo_report()

@@ -18,7 +18,7 @@ from splitwald import (
 )
 from splitwald import randomization
 from splitwald.errors import check_integer
-from splitwald.randomization import P0_HIGH, P0_LOW, _half_threshold
+from splitwald.randomization import P0_HIGH, P0_LOW, _quarter_threshold
 
 from oracle import WeightSequence, bernoulli_rows_oracle, draw_bernoulli_weights
 
@@ -66,72 +66,107 @@ class TestWeights:
             assert 0.0 < ws.b_bar < 1.0
 
 
+def quarters_of(words):
+    """The 16-bit quarters of 64-bit words, lowest quarter first."""
+    return np.stack([(words >> k) & 0xFFFF for k in (0, 16, 32, 48)], axis=1).ravel()
+
+
 class TestRows:
     def test_degenerate_rows_redrawn_in_row_order_from_the_continuation(self):
         # n=3 at p0=0.30: P(degenerate row) = 0.7^3 + 0.3^3, about 37%
         n, p0, m = 3, 0.30, 40
         seed = SeedSpec(8)
-        b, counts = draw_bernoulli_rows(n, p0, m, seed)
+        b = draw_bernoulli_rows(n, p0, m, seed.generator())
         assert b.shape == (m, n) and b.dtype == np.float64
+        counts = b.sum(axis=1)
         assert np.all((counts > 0) & (counts < n))
-        np.testing.assert_array_equal(counts, b.sum(axis=1))
-        np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, seed))
+        np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, seed.generator()))
 
-        # the first pass is the block of the first m*n/2 words' halves; only
-        # its degenerate rows are replaced
-        words = seed.generator().bit_generator.random_raw(m * n // 2)
-        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(m, n)
-        first = halves < _half_threshold(p0)
+        # the first pass is the block of the first m*n/4 words' quarters;
+        # only its degenerate rows are replaced
+        words = seed.generator().bit_generator.random_raw(m * n // 4)
+        first = quarters_of(words).reshape(m, n) < _quarter_threshold(p0)
         redrawn = np.isin(first.sum(axis=1), (0, n))
         assert redrawn.sum() >= 8
         np.testing.assert_array_equal(b[~redrawn], first[~redrawn])
 
-        again, again_counts = draw_bernoulli_rows(n, p0, m, seed)
+        again = draw_bernoulli_rows(n, p0, m, seed.generator())
         assert again.tobytes() == b.tobytes()
-        assert again_counts.tobytes() == counts.tobytes()
 
     @pytest.mark.parametrize("p0", [0.30, 0.1 + 0.2, 0.42, 0.58, 0.70, 2.0 / 3.0])
     def test_rows_are_the_stream_uniforms_below_p0(self, p0):
-        b, _ = draw_bernoulli_rows(200, p0, 30, SeedSpec(3))
-        np.testing.assert_array_equal(b, bernoulli_rows_oracle(200, p0, 30, SeedSpec(3)))
-        # each half h is the 32-bit uniform h * 2**-32, low half first
-        words = SeedSpec(3).generator().bit_generator.random_raw(30 * 100)
-        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1)
-        np.testing.assert_array_equal(b.ravel(), halves.ravel() * 2.0**-32 < p0)
+        b = draw_bernoulli_rows(200, p0, 30, SeedSpec(3).generator())
+        np.testing.assert_array_equal(
+            b, bernoulli_rows_oracle(200, p0, 30, SeedSpec(3).generator())
+        )
+        # each quarter q is the 16-bit uniform q * 2**-16, lowest quarter first
+        words = SeedSpec(3).generator().bit_generator.random_raw(30 * 50)
+        np.testing.assert_array_equal(b.ravel(), quarters_of(words) * 2.0**-16 < p0)
         ws = draw_bernoulli_weights(200, p0, SeedSpec(3))
         np.testing.assert_array_equal(ws.b, b[0])
 
+    @pytest.mark.parametrize("n, p0, m", [(40, 0.40, 5), (7, 0.30, 9), (1001, 0.58, 3)])
+    def test_rows_continue_the_stream_after_the_shocks(self, n, p0, m):
+        # the generator a replication's shocks were drawn from: the draws
+        # read on from where standard_normal left it, and leave it where the
+        # oracle leaves it
+        for k in range(10):
+            got_gen, ref_gen = SeedSpec(9, k).generator(), SeedSpec(9, k).generator()
+            got_gen.standard_normal((137, 2))
+            ref_gen.standard_normal((137, 2))
+            b = draw_bernoulli_rows(n, p0, m, got_gen)
+            np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, ref_gen))
+            next_words = [g.bit_generator.random_raw(4) for g in (got_gen, ref_gen)]
+            np.testing.assert_array_equal(*next_words)
+        fresh = draw_bernoulli_rows(n, p0, m, SeedSpec(9, 9).generator())
+        assert not np.array_equal(b, fresh)
+
     @pytest.mark.parametrize(
-        "n, p0, m", [(7, 0.42, 3), (3, 0.30, 41), (5, 0.70, 9), (2, 0.30, 1)]
+        "n, p0, m", [(7, 0.42, 3), (3, 0.30, 41), (5, 0.70, 9), (2, 0.30, 1), (6, 0.30, 2)]
     )
-    def test_odd_half_counts_discard_the_last_high_half(self, n, p0, m):
-        # odd m*n, or an odd n whose redraws each take ceil(n/2) words
+    def test_partial_words_discard_their_unused_quarters(self, n, p0, m):
+        # m*n not a multiple of four, or an n whose redraws each take
+        # ceil(n/4) words
         for k in range(25):
-            b, _ = draw_bernoulli_rows(n, p0, m, SeedSpec(4, k))
-            np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, SeedSpec(4, k)))
+            b = draw_bernoulli_rows(n, p0, m, SeedSpec(4, k).generator())
+            ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(4, k).generator())
+            np.testing.assert_array_equal(b, ref)
 
     def test_block_spanning_several_word_blocks(self):
-        # 300 x 1001 draws take 150,150 words: two blocks
-        n, m = 1001, 300
-        assert m * n > 2 * randomization.DRAW_BLOCK_WORDS
-        b, _ = draw_bernoulli_rows(n, 0.40, m, SeedSpec(6))
-        np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, 0.40, m, SeedSpec(6)))
+        # 300 x 2001 draws take 150,075 words: two blocks
+        n, m = 2001, 300
+        assert m * n > 4 * randomization.DRAW_BLOCK_WORDS
+        b = draw_bernoulli_rows(n, 0.40, m, SeedSpec(6).generator())
+        ref = bernoulli_rows_oracle(n, 0.40, m, SeedSpec(6).generator())
+        np.testing.assert_array_equal(b, ref)
 
     @pytest.mark.parametrize("n, p0, m", [(7, 0.42, 5), (3, 0.30, 41), (2, 0.30, 9)])
     def test_block_size_does_not_change_the_draws(self, monkeypatch, n, p0, m):
         monkeypatch.setattr(randomization, "DRAW_BLOCK_WORDS", 1)
         for k in range(10):
-            b, _ = draw_bernoulli_rows(n, p0, m, SeedSpec(5, k))
-            np.testing.assert_array_equal(b, bernoulli_rows_oracle(n, p0, m, SeedSpec(5, k)))
+            b = draw_bernoulli_rows(n, p0, m, SeedSpec(5, k).generator())
+            ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(5, k).generator())
+            np.testing.assert_array_equal(b, ref)
 
-    def test_half_threshold_is_within_two_to_the_minus_32_above_p0(self):
+    @pytest.mark.parametrize("check", [1, 3, 10**6])
+    def test_mix_check_does_not_change_the_draws(self, monkeypatch, check):
+        # the leading-draw check only decides which rows are summed in full
+        monkeypatch.setattr(randomization, "MIX_CHECK", check)
+        for n, p0, m in [(3, 0.30, 41), (70, 0.30, 400), (2, 0.70, 9)]:
+            for k in range(5):
+                b = draw_bernoulli_rows(n, p0, m, SeedSpec(10, k).generator())
+                ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(10, k).generator())
+                np.testing.assert_array_equal(b, ref)
+
+    def test_quarter_threshold_is_within_two_to_the_minus_16_above_p0(self):
         for p0 in [*np.linspace(P0_LOW, P0_HIGH, 401).tolist(), 0.1 + 0.2, 2.0 / 3.0]:
-            threshold = _half_threshold(p0)
-            assert type(threshold) is int and threshold < 2**32, p0
-            excess = Fraction(threshold, 2**32) - Fraction(p0)
-            assert 0 <= excess < Fraction(1, 2**32), p0
+            threshold = _quarter_threshold(p0)
+            assert type(threshold) is int and threshold < 2**16, p0
+            excess = Fraction(threshold, 2**16) - Fraction(p0)
+            assert 0 <= excess < Fraction(1, 2**16), p0
+        assert Fraction(_quarter_threshold(0.40), 2**16) == Fraction(26215, 65536)
 
-    def test_a_half_equal_to_the_threshold_draws_a_zero(self):
+    def test_a_quarter_equal_to_the_threshold_draws_a_zero(self):
         class Words:  # a stream of chosen words
             def __init__(self, words):
                 self.words = np.array(words, dtype=np.uint64)
@@ -140,18 +175,19 @@ class TestRows:
                 out, self.words = self.words[:size], self.words[size:]
                 return out
 
-        t = _half_threshold(0.40)
-        out = np.empty(3)
-        # halves t - 1, t, 0 and a discarded 2**32 - 1
-        words = [(t << 32) | (t - 1), (0xFFFFFFFF << 32) | 0]
-        randomization._fill_draws(out, Words(words), np.uint32(t))
-        assert out.tolist() == [1.0, 0.0, 1.0]
+        t = _quarter_threshold(0.40)
+        out = np.empty(6)
+        # quarters t - 1, t, 0, t + 1, then 0, t - 1 and two discarded 2**16 - 1
+        words = [((t + 1) << 48) | (t << 16) | (t - 1), (0xFFFFFFFF << 32) | ((t - 1) << 16)]
+        randomization._fill_draws(out, Words(words), np.uint16(t))
+        assert out.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]
 
     def test_peak_memory_is_the_block_plus_one_word_block(self):
-        draw_bernoulli_rows(2, 0.40, 1, SeedSpec(2))  # first-call imports
+        draw_bernoulli_rows(2, 0.40, 1, SeedSpec(2).generator())  # first-call imports
+        gen = SeedSpec(2).generator()
         tracemalloc.start()
         try:
-            b, _ = draw_bernoulli_rows(10001, 0.40, 300, SeedSpec(2))
+            b = draw_bernoulli_rows(10001, 0.40, 300, gen)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -160,7 +196,7 @@ class TestRows:
     @pytest.mark.parametrize("m", [0, -1, 2.0, True])
     def test_invalid_row_count(self, m):
         with pytest.raises(InvalidLength):
-            draw_bernoulli_rows(10, 0.4, m, SeedSpec(0))
+            draw_bernoulli_rows(10, 0.4, m, SeedSpec(0).generator())
 
 
 @given(
@@ -237,29 +273,34 @@ class TestSeedSpec:
 
 
 class TestGoldenStream:
-    """Stream layout 4 pinned by digest. A new bit generator, seeding rule
-    or half-word split moves these, so a layout change is always a declared
-    one; on any host and numpy version the digests must stay as they are."""
+    """Stream layout 5 pinned by digest. A new bit generator, seeding rule
+    or quarter-word split moves these, so a layout change is always a
+    declared one; on any host and numpy version the digests must stay as
+    they are."""
 
     def test_streams_are_sfc64(self):
-        assert randomization.STREAM_LAYOUT == 4
+        assert randomization.STREAM_LAYOUT == 5
         assert isinstance(SeedSpec(1).generator().bit_generator, np.random.SFC64)
 
     def test_bernoulli_rows(self):
-        b, _ = draw_bernoulli_rows(1000, 0.40, 50, SeedSpec(1))
+        b = draw_bernoulli_rows(1000, 0.40, 50, SeedSpec(1).generator())
         assert sha256(b.tobytes()).hexdigest() == (
-            "00c7e62cd2ec3ef8e7120e7348ae13b2301790ff719bcb670ba4bf5a7fa50830"
+            "764ec52bb20e8855b749afb5490e7c5dbcec30899be25b16cbcd770df66075d2"
         )
 
     def test_simulated_data(self):
-        sample = simulate(preset("DGP1b", 200, alpha1=1.0), SeedSpec(1).child(0))
+        # replication 0 of cell 0 under master seed 1
+        sample = simulate(preset("DGP1b", 200, alpha1=1.0), SeedSpec(1).child(0, 0))
         digests = {
             name: sha256(getattr(sample, name).tobytes()).hexdigest()
             for name in ("y", "X_lagged", "u")
         }
+        b = draw_bernoulli_rows(200, 0.40, 5, sample.stream)
+        digests["rows"] = sha256(b.tobytes()).hexdigest()
         # mu = 0 and beta = 0, so y equals u
         assert digests == {
-            "y": "270b4491c323a24eb71c72e6f85566ab0552fa98164ce738b78432642e8960b0",
-            "X_lagged": "317a11f874db45fdee7b0b2bedcfb70573ecaf1c5958aa88ba936d3643f1dd29",
-            "u": "270b4491c323a24eb71c72e6f85566ab0552fa98164ce738b78432642e8960b0",
+            "y": "8a45f14ff78b1117fd01e4a6c606921c2d756b6dea84a1f36a07114d5da738a2",
+            "X_lagged": "70130ed7e2dc35e54a6fa50ca23f33ab416e95213d414a1c4fd778988fabf167",
+            "u": "8a45f14ff78b1117fd01e4a6c606921c2d756b6dea84a1f36a07114d5da738a2",
+            "rows": "02f0e4b4cb1719cf128d186289db9914207a7ac283553e35ecc0f7df3bcbb1d0",
         }
