@@ -6,7 +6,6 @@ harness."""
 from ._version import __version__
 from .dgp import (
     DgpSpec,
-    SimulatedSample,
     cholesky_lower,
     preset,
     simulate,

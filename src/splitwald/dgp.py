@@ -20,16 +20,18 @@ updates fewer than
 ``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
-bits, and :func:`simulate` is the one-seed case. A call splits its seeds
-into the fewest near-equal batches whose buffer fits in ``SIM_BATCH_BYTES``
-(2 MiB) and frees each batch's buffer before it allocates the next.
+bits. A call splits its seeds into the fewest near-equal batches whose
+buffer fits in ``SIM_BATCH_BYTES`` (2 MiB), cuts each batch the same way
+into sub-blocks whose fit stays within that budget (:func:`_block_width`),
+and yields each sub-block as the ``(w, n)`` and ``(w, n, p)`` stacks that a
+stacked fit takes, copied once from the buffer. It frees each batch's buffer before it allocates the
+next. :func:`simulate` is the one-seed case.
 
-Each sample hands back its generator as :attr:`SimulatedSample.stream`,
-positioned just after its shocks, so that the replication's Bernoulli draws
-continue the same stream (stream layout 5, see
-:mod:`splitwald.randomization`). A batch builds the generators of its own
-seeds only, so at most one batch's generators are alive beyond the samples
-that a caller still holds.
+Each sub-block comes with its replications' generators, positioned just
+after their shocks, so that each replication's Bernoulli draws continue the
+same stream (stream layout 5, see :mod:`splitwald.randomization`). A batch
+builds the generators of its own seeds only, so at most one batch's
+generators are alive beyond the sub-blocks that a caller still holds.
 """
 
 import math
@@ -61,6 +63,13 @@ ARRAY_RECURSION_MIN_VALUES = 40
 # Largest shock buffer of one simulate_many batch. One 250-wide batch at
 # DGP1b, n=1000 raised peak memory by 20%; a 2 MiB batch adds about 2 MiB.
 SIM_BATCH_BYTES = 2 * 2**20
+
+# Bound on the arrays of n * (p + 1) float64 values that one replication of
+# a fit sub-block holds at once: the stacked data, its centred copy, the QR
+# factor and LAPACK's copy, the residuals. Measured with tracemalloc (numpy
+# 2.4): 4.8 at DGP1b, n=1000, and 3.5 (4.5 with a subset null) at DGP2c_ii,
+# n=2000.
+FIT_STACK_ARRAYS = 8
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
 OMEGA_THREE_PREDICTOR = np.array(
@@ -197,75 +206,93 @@ class DgpSpec:
         return 1.0 - self.c / float(self.n) ** self.alpha
 
 
-@dataclass
-class SimulatedSample:
-    """One simulated dataset: predictand, lagged predictors, the errors
-    that generated it (kept for diagnostics), and the generator of its
-    stream, positioned after the shocks it drew."""
+def _split(total, widest):
+    """``(lo, hi)`` bounds of the fewest near-equal slices of ``range(total)``
+    that hold at most ``widest`` each."""
+    count = -(-total // widest)
+    lo = 0
+    for k in range(count):
+        hi = lo + total // count + (k < total % count)
+        yield lo, hi
+        lo = hi
 
-    y: np.ndarray
-    X_lagged: np.ndarray
-    u: np.ndarray
-    stream: np.random.Generator
+
+def _block_width(spec):
+    """Replications per sub-block of a batch: as many as keep the fit's
+    stacks within ``SIM_BATCH_BYTES``, the cap on the batches.
+
+    While a sub-block is fitted, each of its replications holds at most
+    ``FIT_STACK_ARRAYS`` float64 arrays of ``n * (p + 1)`` values at once.
+    That is 16 replications at DGP1b with n=1000 and 4 at DGP2c_ii with
+    n=2000.
+    """
+    per_replication = FIT_STACK_ARRAYS * 8 * spec.n * (spec.p + 1)
+    return max(1, SIM_BATCH_BYTES // per_replication)
 
 
 def simulate_many(spec, seeds):
-    """Generate one sample from ``spec`` per seed in the sequence ``seeds``.
+    """Generate one sample from ``spec`` per seed in the sequence ``seeds``,
+    in sub-blocks sized for a stacked fit.
 
     The recursion starts from zero predictor and error states with the ARCH
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
     The seeds run in the fewest near-equal batches whose buffer fits in
-    ``SIM_BATCH_BYTES``. The first replication whose state is not finite or
-    exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
-    position in ``seeds`` as ``index``, before any sample of its batch is
-    produced. Yields :class:`SimulatedSample` objects, in seed order, each
-    holding its seed's generator positioned after the shocks it drew.
+    ``SIM_BATCH_BYTES``, and each batch yields the fewest near-equal
+    sub-blocks of at most :func:`_block_width` replications, in seed order,
+    as ``(y, X, streams)``: C-contiguous ``(w, n)`` and ``(w, n, p)`` stacks
+    of the predictand and the lagged predictors, and each replication's
+    generator, positioned after the shocks it drew. The first replication whose state is not
+    finite or exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow`
+    carrying its position in ``seeds`` as ``index``, before any sub-block of
+    its batch is produced.
     """
     widest = max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
-    total = len(seeds)
-    count = -(-total // widest)
-    lo = 0
-    for k in range(count):
-        hi = lo + total // count + (k < total % count)
+    for lo, hi in _split(len(seeds), widest):
         # the batch's buffer lives in its own generator, which is exhausted
         # and freed before the next batch allocates one
         yield from _simulate_batch(spec, seeds[lo:hi], lo)
-        lo = hi
 
 
 def _simulate_batch(spec, seeds, start):
-    """The samples of one batch of :func:`simulate_many`, whose first seed
-    is at position ``start``.
+    """The sub-blocks of one batch of :func:`simulate_many`, whose first
+    seed is at position ``start``.
 
     Seed ``r`` draws its shocks from its generator into slice ``r`` of one
     time-major buffer, whose row 0 is the zero start state, and the
     recursions run in place on it; both recursion paths apply the same
     operations in the same order.
     """
-    width = len(seeds)
     total = spec.burn_in + spec.n
-    buf = np.empty((total + 1, spec.p + 1, width))
+    buf = np.empty((total + 1, spec.p + 1, len(seeds)))
     buf[0] = 0.0
     streams = [seed.generator() for seed in seeds]
     for r, stream in enumerate(streams):
         shocks = stream.standard_normal((total, spec.p + 1))
         buf[1:, :, r] = shocks @ spec._lower.T
-    if width * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
-        for r in range(width):
+    if len(seeds) * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
+        for r in range(len(seeds)):
             _recurse_series(spec, buf[:, :, r])
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
     _check_overflow(buf, start)
-    return (_sample(spec, buf[:, :, r], streams[r]) for r in range(width))
+    b, n = spec.burn_in, spec.n
+    for lo, hi in _split(len(seeds), _block_width(spec)):
+        # copied: a fit of the strided buffer rounds differently
+        X = buf[b : b + n, 1:, lo:hi].transpose(2, 0, 1).copy()
+        y = spec.mu + X @ spec.beta
+        y += buf[b + 1 : b + 1 + n, 0, lo:hi].T
+        yield y, X, streams[lo:hi]
 
 
 def simulate(spec, seed):
-    """Generate one sample from ``spec`` using the given stream: the
-    one-seed case of :func:`simulate_many`."""
-    return next(simulate_many(spec, [seed]))
+    """One sample from ``spec`` on the stream at ``seed``, the one-seed case
+    of :func:`simulate_many`: ``(y, X_lagged, stream)``, with the generator
+    positioned after the shocks it drew."""
+    (y,), (X_lagged,), (stream,) = next(simulate_many(spec, [seed]))
+    return y, X_lagged, stream
 
 
 def _ar1(const, coef, shocks):
@@ -356,15 +383,6 @@ def _check_overflow(buf, start=0):
         "parameters look explosive",
         index=start + r,
     )
-
-
-def _sample(spec, state, stream):
-    """The usable observations of one replication's slice of the buffer."""
-    b, n = spec.burn_in, spec.n
-    X_lagged = state[b : b + n, 1:].copy()
-    u = state[b + 1 : b + 1 + n, 0].copy()
-    y = spec.mu + X_lagged @ spec.beta + u
-    return SimulatedSample(y=y, X_lagged=X_lagged, u=u, stream=stream)
 
 
 def preset(name, n, *, alpha1=None, sigma_uv=None, phi0=0.0, beta=0.0, burn_in=200):

@@ -8,15 +8,15 @@ Bernoulli rows from the continuation. Rejections are aggregated by exact
 integer counting, so reports are bit-identical for a fixed master seed
 regardless of the worker count.
 
-A chunk runs as arrays from the fit to the decision. It takes the samples
-of one ``simulate_many`` call, each with its stream, in sub-blocks sized by
-``dgp.SIM_BATCH_BYTES``; each sub-block is one stacked fit and statistic
-set-up (:class:`~splitwald.teststats.StatisticSetup`). Each replication
-then draws its Bernoulli rows from its stream and takes their
-``StatisticSetup.sums``, and one ``StatisticSetup.statistics`` call scores
-the sub-block. The decision is :func:`splitwald.teststats.reject_rule`,
-which equals ``p < alpha``. This module only chunks, seeds, sub-blocks and
-counts.
+A chunk runs as arrays from the fit to the decision. One ``simulate_many``
+call yields its replications as fit stacks sized to stay within the
+simulate budget, each with its replications' streams; each stack is one
+stacked fit and statistic set-up
+(:class:`~splitwald.teststats.StatisticSetup`). Each replication then draws
+its Bernoulli rows from its stream and takes their ``StatisticSetup.sums``,
+and one ``StatisticSetup.statistics`` call scores the stack. The decision is
+:func:`splitwald.teststats.reject_rule`, which equals ``p < alpha``. This
+module only chunks, seeds and counts.
 """
 
 import concurrent.futures
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._version import __version__
-from . import dgp
 from .dgp import DgpSpec, preset, simulate_many
 from .errors import (
     EmptyReport,
@@ -49,13 +48,6 @@ CHUNK = 250
 
 # A cell is flagged when more than this fraction of replications degenerates.
 DEGENERATE_CELL_LIMIT = 1e-3
-
-# Bound on the arrays of n * (p + 1) float64 values that one replication of
-# a fit sub-block holds at once: the stacked data, its centred copy, the QR
-# factor and LAPACK's copy, the residuals. Measured with tracemalloc (numpy
-# 2.4): 4.8 at DGP1b, n=1000, and 3.5 (4.5 with a subset null) at DGP2c_ii,
-# n=2000.
-FIT_STACK_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -197,36 +189,15 @@ class ExperimentReport:
         return any(cell.flagged for cell in self.cells)
 
 
-def _block_width(spec):
-    """Replications per sub-block of a chunk: as many as keep the fit's
-    stacks within ``dgp.SIM_BATCH_BYTES``, the cap on simulate's batches.
-
-    While a sub-block is fitted, each of its replications holds at most
-    ``FIT_STACK_ARRAYS`` float64 arrays of ``n * (p + 1)`` values at once.
-    That is 16 replications at DGP1b with n=1000 and 4 at DGP2c_ii with
-    n=2000.
-    """
-    per_replication = FIT_STACK_ARRAYS * 8 * spec.n * (spec.p + 1)
-    return max(1, dgp.SIM_BATCH_BYTES // per_replication)
-
-
-def _run_block(samples, width, spec, cfg, restriction, m, reject):
-    """``(rejected, degenerate)`` over one sub-block: the next ``width`` of
-    ``samples``, fitted and set up as one stack, each replication's draws
-    taken from its sample's stream, and scored together."""
-    y = np.empty((width, spec.n))
-    X = np.empty((width, spec.n, spec.p))
-    streams = []
-    for i, sample in zip(range(width), samples):
-        y[i] = sample.y
-        X[i] = sample.X_lagged
-        streams.append(sample.stream)
+def _run_block(y, X, streams, cfg, restriction, m, reject):
+    """``(rejected, degenerate)`` over one sub-block: its ``(w, n)`` and
+    ``(w, n, p)`` stacks fitted and set up as one, each replication's draws
+    taken from its stream, and scored together."""
     setup = StatisticSetup.fit(y, X, restriction)
-    del y, X
-    sums = np.empty((width, m, 4))
+    sums = np.empty((len(streams), m, 4))
     for i, stream in enumerate(streams):
         # one expression, so no draw block outlives its sums
-        setup.sums(i, draw_bernoulli_rows(spec.n, cfg.p0, m, stream), out=sums[i])
+        setup.sums(i, draw_bernoulli_rows(y.shape[1], cfg.p0, m, stream), out=sums[i])
     s_n, _, _, degenerate = setup.statistics(sums)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
     return rejected, int(degenerate.sum())
@@ -234,20 +205,16 @@ def _run_block(samples, width, spec, cfg, restriction, m, reject):
 
 def _run_chunk(payload):
     """Count rejections over one fixed chunk of replications of one cell,
-    in sub-blocks of :func:`_block_width` replications."""
+    in the sub-blocks that ``simulate_many`` yields."""
     spec, cfg, restriction, seed, cell_id, start, stop = payload
     m = cfg.resolve_m(spec.n)
     reject = reject_rule(cfg, m)
     rejected = 0
     degenerate = 0
     seeds = [seed.child(cell_id, r) for r in range(start, stop)]
-    samples = simulate_many(spec, seeds)
-    width = _block_width(spec)
     try:
-        for lo in range(start, stop, width):
-            counts = _run_block(
-                samples, min(width, stop - lo), spec, cfg, restriction, m, reject
-            )
+        for y, X, streams in simulate_many(spec, seeds):
+            counts = _run_block(y, X, streams, cfg, restriction, m, reject)
             rejected += counts[0]
             degenerate += counts[1]
     except NumericOverflow as exc:

@@ -185,6 +185,7 @@ class StatisticSetup:
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
+        self.sigma2_1 = sigma2_1
         self.rows = np.empty((u0_sq.shape[0], 4, u0_sq.shape[1]))
         a = np.subtract(u0_sq, sigma2_1[:, None], out=self.rows[:, 0])
         c = u1_sq - sigma2_1[:, None]
@@ -241,12 +242,16 @@ class StatisticSetup:
         s_d2 = sum_d2 / n - shift * shift
         with np.errstate(divide="ignore", invalid="ignore"):
             s_n = n * d_bar * d_bar / s_d2
-        return s_n, d_bar, s_d2, _degenerate(d_bar, s_d2).any(axis=1)
+        degenerate = _degenerate(d_bar, s_d2, self.sigma2_1[:, None])
+        return s_n, d_bar, s_d2, degenerate.any(axis=1)
 
 
-def _degenerate(d_bar, s_d2):
-    """Where a draw's contrast ``d`` is numerically constant."""
-    return s_d2 < 1e-14 * (1.0 + d_bar * d_bar)
+def _degenerate(d_bar, s_d2, sigma2_1):
+    """Where a draw's contrast ``d`` is numerically constant: its variance is
+    at most 1e-14 of ``sigma2_1^2 + d_bar^2``, which scales as ``d^2`` does,
+    so the rule does not depend on the units of ``y``. A noise-free fit,
+    where all three are zero, is degenerate."""
+    return s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar)
 
 
 def _one_replication(setup, b):
@@ -258,7 +263,7 @@ def _one_replication(setup, b):
     s_n, d_bar, s_d2, degenerate = setup.statistics(setup.sums(0, b)[None])
     s_n, d_bar, s_d2 = s_n[0], d_bar[0], s_d2[0]
     if degenerate[0]:
-        j = int(np.argmax(_degenerate(d_bar, s_d2)))
+        j = int(np.argmax(_degenerate(d_bar, s_d2, setup.sigma2_1[0])))
         raise DegenerateVariance(
             f"Bernoulli draw {j + 1} of {b.shape[0]}: contrast sequence has "
             f"numerically zero variance (s_d2={s_d2[j]:.3e})",

@@ -27,7 +27,8 @@ does for a whole block through a 16-bit view of the words.
 ``simulate_oracle`` runs the data-generating recursions one time step at a
 time, all predictors together, as :func:`splitwald.simulate` did before it
 ran one AR recursion per series. It draws the shocks from a generator and
-leaves it after them, as :func:`splitwald.simulate_many` does.
+leaves it after them, as :func:`splitwald.simulate_many` does, and keeps
+the errors ``u`` of the sample, which the library does not return.
 
 ``read_csv_oracle`` reads a `splitwald test` CSV one record at a time with
 ``csv`` and ``float()``, as ``splitwald.cli._read_csv`` did before it parsed
@@ -48,7 +49,6 @@ from splitwald import (
     InvalidLength,
     RegressionData,
     SeedSpec,
-    SimulatedSample,
     SingularDesign,
     SingularRestriction,
     SplitwaldError,
@@ -265,6 +265,17 @@ def run_plan_oracle(plan):
 
 
 @dataclass
+class OracleSample:
+    """One simulated dataset, the errors that generated it, and the generator
+    of its stream, positioned after its shocks."""
+
+    y: np.ndarray
+    X_lagged: np.ndarray
+    u: np.ndarray
+    stream: np.random.Generator
+
+
+@dataclass
 class DrawStat:
     """One draw's single-shot statistic and its ingredients."""
 
@@ -287,11 +298,13 @@ def compute_d_sequence(u0_sq, u1_sq, sigma2_1, weights):
     return w * (u0_sq - sigma2_1) - (u1_sq - sigma2_1)
 
 
-def single_shot(d):
-    """Studentized squared mean of one contrast sequence.
+def single_shot(d, sigma2_1):
+    """Studentized squared mean of one contrast sequence whose variance
+    anchor is ``sigma2_1``.
 
     Uses the n-divisor sample variance. A numerically constant ``d`` raises
-    :class:`DegenerateVariance`.
+    :class:`DegenerateVariance`, by the library's rule: a variance of at most
+    1e-14 of ``sigma2_1^2 + d_bar^2``.
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.shape[0]
@@ -300,7 +313,7 @@ def single_shot(d):
     d_bar = float(d.mean())
     centered = d - d_bar
     s_d2 = float(centered @ centered) / n
-    if s_d2 < 1e-14 * (1.0 + d_bar * d_bar):
+    if s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar):
         raise DegenerateVariance(
             f"contrast sequence has numerically zero variance (s_d2={s_d2:.3e})"
         )
@@ -317,7 +330,7 @@ def draw_statistics_oracle(u0_sq, u1_sq, sigma2_1, b, p0=0.40):
     for j, row in enumerate(b, start=1):
         d = compute_d_sequence(u0_sq, u1_sq, sigma2_1, WeightSequence.from_draws(row, p0))
         try:
-            shots.append(single_shot(d))
+            shots.append(single_shot(d, sigma2_1))
         except DegenerateVariance as exc:
             raise DegenerateVariance(str(exc), draw_index=j) from exc
     return shots
@@ -325,8 +338,8 @@ def draw_statistics_oracle(u0_sq, u1_sq, sigma2_1, b, p0=0.40):
 
 def simulate_oracle(spec, gen):
     """Row-wise reference for :func:`splitwald.simulate` (no overflow guard),
-    drawing the shocks from the generator ``gen``. Returns the sample with
-    ``gen`` as its stream."""
+    drawing the shocks from the generator ``gen``. Returns the
+    :class:`OracleSample` with ``gen`` as its stream."""
     p = spec.p
     total = spec.burn_in + spec.n
     shocks = gen.standard_normal((total, p + 1)) @ spec._lower.T
@@ -355,7 +368,7 @@ def simulate_oracle(spec, gen):
     X_lagged = np.array(x_rows)[b : b + spec.n]
     u_keep = np.array(u)[b : b + spec.n]
     y = spec.mu + X_lagged @ spec.beta + u_keep
-    return SimulatedSample(y=y, X_lagged=X_lagged, u=u_keep, stream=gen)
+    return OracleSample(y=y, X_lagged=X_lagged, u=u_keep, stream=gen)
 
 
 def replication_bytes(spec):

@@ -124,10 +124,8 @@ def _null_calibration_sample():
     centered = np.empty(5000)
     for r in range(5000):
         rep = base.child(0, r)
-        sample = sw.simulate(spec, rep.child(0))
-        out = sw.run_test(
-            sw.RegressionData(sample.y, sample.X_lagged), restriction, cfg, rep.child(1)
-        )
+        y, X, _ = sw.simulate(spec, rep.child(0))
+        out = sw.run_test(sw.RegressionData(y, X), restriction, cfg, rep.child(1))
         single[r] = out.s_n[0]
         centered[r] = out.q
     return single, centered

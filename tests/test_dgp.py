@@ -26,21 +26,49 @@ from splitwald.dgp import (
 from oracle import replication_bytes, simulate_oracle
 
 
-def innovations(sample, spec):
-    """Back out the predictor shocks v_t from consecutive lagged values."""
+def innovations(y, X, spec):
+    """The errors and the predictor shocks v_t of a sample with beta = 0 and
+    mu = 0, whose y is its errors u_t bit for bit; v_t is backed out from
+    consecutive lagged values."""
+    assert not spec.beta.any() and spec.mu == 0.0
     a = spec.ar_coefficients()
-    X = sample.X_lagged
     v = X[1:] - spec.phi0 - a * X[:-1]
-    return sample.u[: v.shape[0]], v
+    return y[: v.shape[0]], v
 
 
-def assert_same_sample(got, ref):
-    """Equal data, and streams left at the same place: just after the shocks."""
-    assert np.array_equal(got.y, ref.y)
-    assert np.array_equal(got.X_lagged, ref.X_lagged)
-    assert np.array_equal(got.u, ref.u)
-    next_words = [s.stream.bit_generator.random_raw(2) for s in (got, ref)]
-    assert np.array_equal(*next_words)
+def oracle_samples(spec, seeds):
+    """The row-wise oracle's sample of each seed, with the next two words of
+    its stream: where a stream stands just after its shocks."""
+    out = []
+    for seed in seeds:
+        ref = simulate_oracle(spec, seed.generator())
+        out.append((ref, ref.stream.bit_generator.random_raw(2)))
+    return out
+
+
+def assert_same_sample(y, X, stream, ref, next_words):
+    """Equal data, and the stream left at the oracle's place."""
+    assert np.array_equal(y, ref.y)
+    assert np.array_equal(X, ref.X_lagged)
+    assert np.array_equal(stream.bit_generator.random_raw(2), next_words)
+
+
+def assert_blocks_match(blocks, refs, batches, width):
+    """Each batch of ``batches`` (their widths, in order) comes as the fewest
+    near-equal sub-blocks of at most ``width``: C-contiguous stacks that lie
+    within their batch and equal the oracle row by row."""
+    refs = iter(refs)
+    for batch in batches:
+        count = -(-batch // width)
+        for k in range(count):
+            y, X, streams = next(blocks)
+            w = batch // count + (k < batch % count)
+            n, p = X.shape[1:]
+            assert y.shape == (w, n) and X.shape == (w, n, p) and len(streams) == w
+            assert y.flags.c_contiguous and X.flags.c_contiguous
+            for i, (ref, next_words) in zip(range(w), refs):
+                assert_same_sample(y[i], X[i], streams[i], ref, next_words)
+    assert next(blocks, None) is None and next(refs, None) is None
 
 
 class TestCholesky:
@@ -153,28 +181,33 @@ class TestSimulate:
             omega=np.eye(2),
             theta0=2.5,
         )
-        s = simulate(spec, SeedSpec(1))
-        assert s.u.var() == pytest.approx(2.5, rel=0.03)
+        y, _, _ = simulate(spec, SeedSpec(1))
+        assert y.var() == pytest.approx(2.5, rel=0.03)  # beta = mu = 0: y is u
 
     def test_arch_long_run_variance(self):
         # DGP1b parameterization: sigma_u^2 = theta0/(1-theta1) = 10/3
         spec = preset("DGP1b", 10**5, alpha1=0.0, sigma_uv=-0.90)
-        s = simulate(spec, SeedSpec(2))
-        assert s.u.var() == pytest.approx(2.5 / 0.75, rel=0.05)
+        y, _, _ = simulate(spec, SeedSpec(2))
+        assert y.var() == pytest.approx(2.5 / 0.75, rel=0.05)
 
     def test_arch_plus_serial_variance(self):
         # DGP1c: sigma_u^2 = theta0/((1-theta1)(1-rho^2)) = 3.56
         spec = preset("DGP1c", 10**5, alpha1=0.0, sigma_uv=-0.90)
-        s = simulate(spec, SeedSpec(3))
-        assert s.u.var() == pytest.approx(2.5 / (0.75 * (1 - 0.25**2)), rel=0.05)
+        y, _, _ = simulate(spec, SeedSpec(3))
+        assert y.var() == pytest.approx(2.5 / (0.75 * (1 - 0.25**2)), rel=0.05)
 
     def test_construction_identity(self):
         spec = replace(preset("DGP2b", 300), beta=[0.2, -0.1, 0.05])
         spec.mu = 0.7
-        s = simulate(spec, SeedSpec(4))
-        np.testing.assert_array_equal(
-            s.y, spec.mu + s.X_lagged @ spec.beta + s.u
-        )
+        y, X, _ = simulate(spec, SeedSpec(4))
+        ref = simulate_oracle(spec, SeedSpec(4).generator())
+        np.testing.assert_array_equal(X, ref.X_lagged)
+        np.testing.assert_array_equal(y, spec.mu + X @ spec.beta + ref.u)
+        # with beta = 0 and mu = 0, y is u bit for bit, so the tests here
+        # read the errors from y
+        null = preset("DGP2b", 300)
+        y, _, _ = simulate(null, SeedSpec(4))
+        np.testing.assert_array_equal(y, simulate_oracle(null, SeedSpec(4).generator()).u)
 
     def test_uncorrelated_shocks_when_omega_identity(self):
         spec = DgpSpec(
@@ -185,35 +218,32 @@ class TestSimulate:
             beta=0.0,
             omega=np.eye(3),
         )
-        s = simulate(spec, SeedSpec(5))
-        u, v = innovations(s, spec)
+        u, v = innovations(*simulate(spec, SeedSpec(5))[:2], spec)
         for j in range(2):
             assert abs(np.corrcoef(u, v[:, j])[0, 1]) < 3.0 / np.sqrt(u.size)
 
     def test_endogeneity_correlation_target(self):
         spec = preset("DGP1b", 10**5, alpha1=1.0, sigma_uv=-0.90)
-        s = simulate(spec, SeedSpec(6))
-        u, v = innovations(s, spec)
+        u, v = innovations(*simulate(spec, SeedSpec(6))[:2], spec)
         assert np.corrcoef(u, v[:, 0])[0, 1] == pytest.approx(-0.90, abs=0.03)
 
     def test_three_predictor_correlation_pattern(self):
         # derived property of the fixed shock covariance: roughly
         # (-0.9, -0.7, -0.5) against the three predictors
         spec = preset("DGP2a", 10**5)
-        s = simulate(spec, SeedSpec(7))
-        u, v = innovations(s, spec)
+        u, v = innovations(*simulate(spec, SeedSpec(7))[:2], spec)
         corr = [np.corrcoef(u, v[:, j])[0, 1] for j in range(3)]
         for got, expected in zip(corr, (-0.9, -0.7, -0.5)):
             assert got == pytest.approx(expected, abs=0.05)
 
     def test_determinism(self):
         spec = preset("DGP2c_ii", 400)
-        a = simulate(spec, SeedSpec(8, 1))
-        b = simulate(spec, SeedSpec(8, 1))
-        np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.X_lagged, b.X_lagged)
-        c = simulate(spec, SeedSpec(8, 2))
-        assert not np.array_equal(a.y, c.y)
+        y_a, X_a, _ = simulate(spec, SeedSpec(8, 1))
+        y_b, X_b, _ = simulate(spec, SeedSpec(8, 1))
+        np.testing.assert_array_equal(y_a, y_b)
+        np.testing.assert_array_equal(X_a, X_b)
+        y_c, _, _ = simulate(spec, SeedSpec(8, 2))
+        assert not np.array_equal(y_a, y_c)
 
     def test_overflow_guard(self):
         # unit-root predictor with a huge drift accumulates past the guard
@@ -235,25 +265,23 @@ class TestSimulate:
         kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
         spec = preset(name, 300, phi0=0.25, beta=0.1, burn_in=50, **kwargs)
         for r in range(20):
-            got = simulate(spec, SeedSpec(11, r))
-            ref = simulate_oracle(spec, SeedSpec(11, r).generator())
-            assert_same_sample(got, ref)
+            [(ref, next_words)] = oracle_samples(spec, [SeedSpec(11, r)])
+            assert_same_sample(*simulate(spec, SeedSpec(11, r)), ref, next_words)
 
     @pytest.mark.parametrize("burn_in", [0, 1, 50])
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_batch_matches_row_wise_oracle(self, name, burn_in):
-        # widths on both sides of the switch to the array recursion
+    def test_batch_matches_row_wise_oracle(self, monkeypatch, name, burn_in):
+        # batch widths on both sides of the switch to the array recursion,
+        # each cut into sub-blocks of 1, 7 and 16 replications and whole
         kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
         spec = preset(name, 60, phi0=0.25, beta=0.1, burn_in=burn_in, **kwargs)
         narrowest = -(-ARRAY_RECURSION_MIN_VALUES // (spec.p + 1))
         for width in (1, narrowest - 1, narrowest, 83):
             seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
-            samples = list(simulate_many(spec, seeds))
-            assert len(samples) == width
-            for seed, got in zip(seeds, samples):
-                ref = simulate_oracle(spec, seed.generator())
-                assert_same_sample(got, ref)
-                assert got.X_lagged.flags.c_contiguous and got.X_lagged.shape == (60, spec.p)
+            refs = oracle_samples(spec, seeds)
+            for block in (1, 7, 16, width):
+                monkeypatch.setattr(dgp, "_block_width", lambda spec: block)
+                assert_blocks_match(simulate_many(spec, seeds), refs, [width], block)
 
     @pytest.mark.parametrize(
         "name, width, arrays",
@@ -303,10 +331,10 @@ class TestSimulate:
 
     def test_sample_shapes(self):
         spec = preset("DGP1a", 123, alpha1=0.5)
-        s = simulate(spec, SeedSpec(10))
-        assert s.y.shape == (123,)
-        assert s.X_lagged.shape == (123, 1)
-        assert s.u.shape == (123,)
+        y, X, stream = simulate(spec, SeedSpec(10))
+        assert y.shape == (123,)
+        assert X.shape == (123, 1)
+        assert isinstance(stream, np.random.Generator)
 
 
 class TestBatches:
@@ -319,7 +347,9 @@ class TestBatches:
         """Widths of the batches simulate_many makes for ``count`` seeds."""
         widths = []
         monkeypatch.setattr(
-            dgp, "_simulate_batch", lambda spec, seeds, start: widths.append(len(seeds)) or ()
+            dgp,
+            "_simulate_batch",
+            lambda spec, seeds, start: widths.append(len(seeds)) or (),
         )
         assert list(simulate_many(spec, [SeedSpec(0, r) for r in range(count)])) == []
         return widths
@@ -327,13 +357,16 @@ class TestBatches:
     @pytest.mark.parametrize("width", [1, 16, 32, 96])
     def test_batch_width_does_not_change_samples(self, monkeypatch, width):
         # 96 seeds run as 96 or 6 scalar batches, 3 array batches of 32, or
-        # one array batch; each sample must match the row-wise oracle
+        # one array batch, each cut into sub-blocks of 1, 7 or 16 or whole;
+        # each sample must match the row-wise oracle
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
-        for seed, got in zip(seeds, simulate_many(self.SPEC, seeds), strict=True):
-            ref = simulate_oracle(self.SPEC, seed.generator())
-            assert_same_sample(got, ref)
-        assert self.widths(monkeypatch, self.SPEC, 96) == [width] * (96 // width)
+        refs = oracle_samples(self.SPEC, seeds)
+        batches = [width] * (96 // width)
+        for block in (1, 7, 16, width):
+            monkeypatch.setattr(dgp, "_block_width", lambda spec: block)
+            assert_blocks_match(simulate_many(self.SPEC, seeds), refs, batches, block)
+        assert self.widths(monkeypatch, self.SPEC, 96) == batches
 
     def test_fewest_near_equal_batches(self, monkeypatch):
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 109 * replication_bytes(self.SPEC))
@@ -345,13 +378,14 @@ class TestBatches:
     def test_default_cap_is_two_mib(self, monkeypatch):
         # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 fits 109
         # replications and DGP2c_ii at n=2000 29; both sets of batches run
-        # on the array recursion
+        # on the array recursion, and yield fit sub-blocks of 16 and 4
         assert dgp.SIM_BATCH_BYTES == 2 * 2**20
         dgp1b = preset("DGP1b", 1000, alpha1=1.0)
         dgp2c = preset("DGP2c_ii", 2000)
         assert self.widths(monkeypatch, dgp1b, 250) == [84, 83, 83]
         assert self.widths(monkeypatch, dgp2c, 250) == [28] * 7 + [27] * 2
         assert 27 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
+        assert dgp._block_width(dgp1b) == 16 and dgp._block_width(dgp2c) == 4
 
     def test_overflow_in_a_later_batch_names_its_seed(self, monkeypatch):
         # the second 40-wide batch goes non-finite at its third replication
@@ -366,10 +400,11 @@ class TestBatches:
                 buf[7, 1, 2] = np.inf
 
         monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
-        samples = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
-        assert len([next(samples) for _ in range(40)]) == 40  # the first batch
+        monkeypatch.setattr(dgp, "_block_width", lambda spec: 16)
+        blocks = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
+        assert [len(next(blocks)[2]) for _ in range(3)] == [14, 13, 13]  # the first batch
         with pytest.raises(NumericOverflow, match="not finite") as info:
-            next(samples)
+            next(blocks)
         assert batches == [40, 40] and info.value.index == 42
 
     def test_each_batch_buffer_freed_before_the_next(self, monkeypatch):
@@ -385,8 +420,8 @@ class TestBatches:
             real(buf, start)
 
         monkeypatch.setattr(dgp, "_check_overflow", one_buffer_alive)
-        samples = list(simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]))
-        assert len(samples) == 96 and len(buffers) == 4
+        blocks = list(simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]))
+        assert sum(len(streams) for _, _, streams in blocks) == 96 and len(buffers) == 4
 
     def test_no_seeds_no_samples(self, monkeypatch):
         assert list(simulate_many(self.SPEC, [])) == []
@@ -401,13 +436,12 @@ class TestPresets:
         assert spec.theta1 == 0.0 and spec.rho == 0.0
         assert spec.theta0 == 2.5
         np.testing.assert_allclose(spec.omega, [[1.0, -0.9], [-0.9, 1.0]])
-        s = simulate(spec, SeedSpec(11))
+        y, _, _ = simulate(spec, SeedSpec(11))
         big = preset("DGP1a", 10**5, alpha1=1.0, sigma_uv=-0.90)
-        sb = simulate(big, SeedSpec(11))
-        assert sb.u.var() == pytest.approx(2.5, rel=0.03)
-        u, v = innovations(sb, big)
+        u, v = innovations(*simulate(big, SeedSpec(11))[:2], big)
+        assert u.var() == pytest.approx(2.5, rel=0.03)
         assert np.corrcoef(u, v[:, 0])[0, 1] == pytest.approx(-0.90, abs=0.02)
-        assert s.y.shape == (500,)
+        assert y.shape == (500,)
 
     def test_dgp2_parameters(self):
         for name in ("DGP2a", "DGP2b", "DGP2c_i", "DGP2c_ii"):

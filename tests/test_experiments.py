@@ -99,6 +99,18 @@ class TestRunPlan:
         r2 = run_plan(tiny_plan(workers=2, **over))
         assert export_report(r1, "csv") == export_report(r2, "csv")
 
+    def test_report_does_not_depend_on_the_scale_of_y(self):
+        # theta0 = 2**-100 scales every error, and with beta = mu = 0 every y,
+        # by exactly 2**-50, so no replication may turn degenerate
+        def report(theta0):
+            spec = DgpSpec(
+                n=120, alpha=[1.0], c=[1.0], phi0=[0.0], beta=[0.0],
+                omega=[[1.0, -0.9], [-0.9, 1.0]], rho=0.25, theta0=theta0, theta1=0.25,
+            )  # fmt: skip
+            return export_report(run_plan(tiny_plan(dgp=spec, replications=400)), "csv")
+
+        assert report(2.0**-100) == report(1.0)
+
     @pytest.mark.parametrize(
         "workers, chunk, replications, pools",
         [(8, 50, 100, [2]), (8, 250, 100, []), (2, 50, 150, [2])],
@@ -233,7 +245,7 @@ class TestBatches:
 
         def spy(seed):
             alive = sum(ref() is not None for ref in built)
-            assert alive <= 84 + ex._block_width(spec), alive
+            assert alive <= 84 + dgp._block_width(spec), alive
             gen = Traced(real(seed).bit_generator)
             built.append(weakref.ref(gen))
             return gen
@@ -381,9 +393,9 @@ class TestDecision:
 def test_chunk_peak_memory_is_bounded():
     # one chunk of a cell: the simulate batch, one draw block of M * n, and
     # 1 MiB of slack for the sub-block's fit stacks and the batch's
-    # generators (measured at 0.58 MiB with numpy 2.4 on the DGP1b, n=1000,
+    # generators (measured at 0.44 MiB with numpy 2.4 on the DGP1b, n=1000,
     # M=50 cell, whose batches hold 84 generators and sub-blocks 16
-    # replications; 0.61 MiB on the DGP2c_ii, n=2000, M=18 cell, whose
+    # replications; 0.60 MiB on the DGP2c_ii, n=2000, M=18 cell, whose
     # sub-blocks hold 4, of p=3)
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),

@@ -192,15 +192,15 @@ class TestDSequence:
 class TestSingleShot:
     def test_constant_sequence_degenerate(self):
         with pytest.raises(DegenerateVariance):
-            single_shot([1.0, 1.0, 1.0, 1.0])
+            single_shot([1.0, 1.0, 1.0, 1.0], 1.0)
 
     def test_symmetric_cancellation(self):
-        shot = single_shot([1.0, -1.0, 1.0, -1.0])
+        shot = single_shot([1.0, -1.0, 1.0, -1.0], 1.0)
         assert shot.s_n == 0.0
         assert shot.d_bar == 0.0
 
     def test_hand_arithmetic(self):
-        shot = single_shot([2.0, 0.0, 1.0, 1.0])
+        shot = single_shot([2.0, 0.0, 1.0, 1.0], 1.0)
         assert shot.d_bar == pytest.approx(1.0)
         assert shot.s_d2 == pytest.approx(0.5)
         assert shot.s_n == pytest.approx(8.0)
@@ -228,7 +228,7 @@ class TestRunTest:
         # stream layout 5: the only draw is row 0 of the block drawn at `seed`
         ws = draw_bernoulli_weights(data.n, 0.40, seed)
         d = compute_d_sequence(u0_sq, u1_sq, sigma2_1, ws)
-        shot = single_shot(d)
+        shot = single_shot(d, sigma2_1)
         # closed form against the two-pass oracle: rounding differs
         assert out.s_m == pytest.approx(shot.s_n, rel=1e-12)
         assert out.s_n.shape == (1,)
@@ -242,7 +242,7 @@ class TestRunTest:
         c = run_test(data, Restriction.all_slopes(1), cfg, SeedSpec(5, 4))
         assert c.s_m != a.s_m
 
-    @pytest.mark.parametrize("k", [3.7, -2.0, 0.01])
+    @pytest.mark.parametrize("k", [3.7, -2.0, 0.01, 2.0**-20, 2.0**20])
     def test_scale_equivariance(self, k):
         data = toy_data(seed=3)
         scaled = RegressionData(k * data.y, data.X)
@@ -252,6 +252,11 @@ class TestRunTest:
         assert moved.s_m == pytest.approx(base.s_m, rel=1e-9)
         assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
         np.testing.assert_allclose(moved.s_n, base.s_n, rtol=1e-9)
+        if abs(math.frexp(k)[0]) == 0.5:
+            # scaling by a power of two is exact in floating point, and the
+            # degeneracy guard scales with the data
+            assert moved.s_n.tolist() == base.s_n.tolist()
+            assert (moved.s_m, moved.p_value) == (base.s_m, base.p_value)
 
     def test_shift_invariance(self):
         data = toy_data(seed=4)
@@ -350,20 +355,20 @@ class TestClosedFormAgainstOracle:
             beta = 0.0 if r % 2 == 0 else 0.3
             spec = preset(name, 400, alpha1=alpha1, beta=beta)
             seed = SeedSpec(31, r)
-            sample = simulate(spec, seed)
-            data = RegressionData(scale * sample.y, sample.X_lagged)
-            b = draw_bernoulli_rows(data.n, 0.40, 12, sample.stream)
+            y, X, stream = simulate(spec, seed)
+            data = RegressionData(scale * y, X)
+            b = draw_bernoulli_rows(data.n, 0.40, 12, stream)
             inputs = residual_inputs(data, Restriction.all_slopes(spec.p))
             raised.append(assert_matches_oracle(*inputs, b))
-        if scale == 1.0:
-            assert raised == [None] * 6
+        # the guard scales with the data, so no scale makes a draw degenerate
+        assert raised == [None] * 6
 
     def test_near_constant_contrast_crosses_the_guard(self):
         # d_t = k_t delta z_t - K with z nonzero on five observations only:
         # s_d2 ~ delta^2 k^2 sum(z_t^2) / n, where k is the weight of those
         # five in the row. Row 1 holds them in its 100 ones (k1 = 2.5), row 2
         # in its 400 ones (k1 = 0.625) and row 3 among its 250 zeros
-        # (k0 = 1), so as delta crosses the guard at 1e-14 (1 + K^2), row 1
+        # (k0 = 1), so as delta crosses the guard at 1e-14 (s2^2 + K^2), row 1
         # leaves it first and the first degenerate draw moves to draw 2
         n, big = 500, 3.0
         z = np.zeros(n)
