@@ -21,11 +21,12 @@ updates fewer than
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
 bits. A call splits its seeds into the fewest near-equal batches whose
-buffer fits in ``SIM_BATCH_BYTES`` (2 MiB), cuts each batch the same way
-into sub-blocks whose fit stays within that budget (:func:`_block_width`),
-and yields each sub-block as the ``(w, n)`` and ``(w, n, p)`` stacks that a
-stacked fit takes, copied once from the buffer. It frees each batch's buffer before it allocates the
-next. :func:`simulate` is the one-seed case.
+buffer fits in ``SIM_BATCH_BYTES`` (5 MiB: one 250-replication chunk at
+p=1 and n <= 1000), cuts each batch the same way into sub-blocks whose fit
+stays within ``FIT_STACK_BYTES`` (2 MiB, :func:`_block_width`), and yields
+each sub-block as the ``(w, n)`` and ``(w, n, p)`` stacks that a stacked
+fit takes, copied once from the buffer. It frees each batch's buffer before
+it allocates the next. :func:`simulate` is the one-seed case.
 
 Each sub-block comes with its replications' generators, positioned just
 after their shocks, so that each replication's Bernoulli draws continue the
@@ -60,15 +61,21 @@ OVERFLOW_GUARD = 1e12
 # p=3) the arrays were faster on every preset.
 ARRAY_RECURSION_MIN_VALUES = 40
 
-# Largest shock buffer of one simulate_many batch. One 250-wide batch at
-# DGP1b, n=1000 raised peak memory by 20%; a 2 MiB batch adds about 2 MiB.
-SIM_BATCH_BYTES = 2 * 2**20
+# Largest shock buffer of one simulate_many batch: 250 * 1201 * 2 * 8 bytes
+# (4.58 MiB) holds a whole 250-replication chunk of DGP1b at n=1000. Each
+# step of the time loop costs about the same at any width, so one batch of
+# the chunk beats three: DGP1b batches of 84, 125 and 250 ran 3604, 3820
+# and 4156 reps/s (in-process plans, 2 cores, numpy 2.4), and the bench's
+# peak RSS rose 7.0%, from 46.0 to 49.2 MiB.
+SIM_BATCH_BYTES = 5 * 2**20
 
-# Bound on the arrays of n * (p + 1) float64 values that one replication of
-# a fit sub-block holds at once: the stacked data, its centred copy, the QR
-# factor and LAPACK's copy, the residuals. Measured with tracemalloc (numpy
-# 2.4): 4.8 at DGP1b, n=1000, and 3.5 (4.5 with a subset null) at DGP2c_ii,
-# n=2000.
+# Budget of one fit sub-block's arrays, and the bound on the arrays of
+# n * (p + 1) float64 values that one of its replications holds at once:
+# the stacked data, its centred copy, the QR factor and LAPACK's copy, the
+# residuals. Measured with tracemalloc (numpy 2.4): 4.8 at DGP1b, n=1000,
+# and 3.5 (4.5 with a subset null) at DGP2c_ii, n=2000. A 5 MiB budget for
+# the fit too was slower and took the bench's peak RSS to 50.8 MiB.
+FIT_STACK_BYTES = 2 * 2**20
 FIT_STACK_ARRAYS = 8
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
@@ -219,7 +226,7 @@ def _split(total, widest):
 
 def _block_width(spec):
     """Replications per sub-block of a batch: as many as keep the fit's
-    stacks within ``SIM_BATCH_BYTES``, the cap on the batches.
+    stacks within ``FIT_STACK_BYTES``.
 
     While a sub-block is fitted, each of its replications holds at most
     ``FIT_STACK_ARRAYS`` float64 arrays of ``n * (p + 1)`` values at once.
@@ -227,7 +234,7 @@ def _block_width(spec):
     n=2000.
     """
     per_replication = FIT_STACK_ARRAYS * 8 * spec.n * (spec.p + 1)
-    return max(1, SIM_BATCH_BYTES // per_replication)
+    return max(1, FIT_STACK_BYTES // per_replication)
 
 
 def simulate_many(spec, seeds):

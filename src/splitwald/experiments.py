@@ -9,9 +9,9 @@ integer counting, so reports are bit-identical for a fixed master seed
 regardless of the worker count.
 
 A chunk runs as arrays from the fit to the decision. One ``simulate_many``
-call yields its replications as fit stacks sized to stay within the
-simulate budget, each with its replications' streams; each stack is one
-stacked fit and statistic set-up
+call yields its replications as fit stacks sized to stay within
+``dgp.FIT_STACK_BYTES``, each with its replications' streams; each stack
+is one stacked fit and statistic set-up
 (:class:`~splitwald.teststats.StatisticSetup`). Each replication then draws
 its Bernoulli rows from its stream and takes their ``StatisticSetup.sums``,
 and one ``StatisticSetup.statistics`` call scores the stack. The decision is
@@ -23,6 +23,8 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
+import os
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
@@ -165,18 +167,24 @@ class CellResult:
     flagged: bool = False
 
     def as_dict(self):
+        """The cell as JSON values; a rate or standard error that is not
+        finite (every replication degenerate) is ``None``."""
         return {
             "dgp": self.dgp_label,
             "n": self.n,
             "p0": self.p0,
             "alpha": list(self.alpha_vec),
             "beta": self.beta,
-            "rejection_rate": self.rejection_rate,
-            "mc_se": self.mc_se,
+            "rejection_rate": _finite_or_none(self.rejection_rate),
+            "mc_se": _finite_or_none(self.mc_se),
             "reps": self.replications,
             "degenerate": self.degenerate,
             "flagged": self.flagged,
         }
+
+
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -252,8 +260,9 @@ def run_plan(plan, progress=None):
         if progress is not None:
             progress(done_so_far, len(tasks))
 
-    # A pool starts all its workers at the first submit: start no idle ones.
-    workers = min(plan.workers, len(tasks))
+    # A pool starts all its workers at the first submit: start no idle ones,
+    # and no more than the CPUs can run at once.
+    workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         for i, task in enumerate(tasks, start=1):
             _absorb(_run_chunk(task), i)
@@ -341,7 +350,8 @@ def export_report(report, fmt="csv"):
     persistence exponents are joined with ``|`` in the ``alpha`` column.
     Fields are quoted as ``csv`` quotes them, so a label holding a comma,
     quote or line break reads back as one field; other rows are plain.
-    JSON keeps full float precision and includes the metadata block.
+    JSON keeps full float precision and includes the metadata block; a
+    rate and standard error that are not finite are written as ``null``.
     """
     if not report.cells:
         raise EmptyReport("report has no cells")
@@ -359,7 +369,7 @@ def export_report(report, fmt="csv"):
             "cells": [c.as_dict() for c in report.cells],
             "metadata": report.metadata,
         }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
     raise ValueError(f"unknown export format {fmt!r} (expected csv or json)")
 
 

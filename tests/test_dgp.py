@@ -375,16 +375,20 @@ class TestBatches:
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 1)
         assert self.widths(monkeypatch, self.SPEC, 3) == [1, 1, 1]
 
-    def test_default_cap_is_two_mib(self, monkeypatch):
-        # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 fits 109
-        # replications and DGP2c_ii at n=2000 29; both sets of batches run
-        # on the array recursion, and yield fit sub-blocks of 16 and 4
-        assert dgp.SIM_BATCH_BYTES == 2 * 2**20
+    def test_default_caps(self, monkeypatch):
+        # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 runs as
+        # one batch, and DGP2c_ii at n=2000, of which 74 fit in the cap, as
+        # the fewest near-equal batches that fit; all run on the array
+        # recursion, and their fit sub-blocks stay 16 and 4 wide
+        assert dgp.SIM_BATCH_BYTES == 5 * 2**20 and dgp.FIT_STACK_BYTES == 2 * 2**20
         dgp1b = preset("DGP1b", 1000, alpha1=1.0)
         dgp2c = preset("DGP2c_ii", 2000)
-        assert self.widths(monkeypatch, dgp1b, 250) == [84, 83, 83]
-        assert self.widths(monkeypatch, dgp2c, 250) == [28] * 7 + [27] * 2
-        assert 27 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
+        assert self.widths(monkeypatch, dgp1b, 250) == [250]
+        assert 250 * replication_bytes(dgp1b) <= dgp.SIM_BATCH_BYTES
+        assert self.widths(monkeypatch, dgp2c, 250) == [63, 63, 62, 62]
+        assert 63 * replication_bytes(dgp2c) <= dgp.SIM_BATCH_BYTES
+        assert 3 * (dgp.SIM_BATCH_BYTES // replication_bytes(dgp2c)) < 250  # 3 cannot
+        assert 62 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
         assert dgp._block_width(dgp1b) == 16 and dgp._block_width(dgp2c) == 4
 
     def test_overflow_in_a_later_batch_names_its_seed(self, monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 import weakref
 
@@ -111,15 +112,12 @@ class TestRunPlan:
 
         assert report(2.0**-100) == report(1.0)
 
-    @pytest.mark.parametrize(
-        "workers, chunk, replications, pools",
-        [(8, 50, 100, [2]), (8, 250, 100, []), (2, 50, 150, [2])],
-    )
-    def test_pool_starts_no_idle_workers(
-        self, monkeypatch, workers, chunk, replications, pools
-    ):
-        # A pool starts all max_workers processes at its first submit. The
-        # fake pool records what run_plan asks for and runs the chunks here.
+    @staticmethod
+    def fake_pool(monkeypatch, cpus):
+        """The ``max_workers`` of each pool run_plan opens, on a machine of
+        ``cpus`` CPUs. A pool starts all max_workers processes at its first
+        submit; the fake pool records them and runs the chunks here, so no
+        process starts."""
         asked = []
 
         class FakePool:
@@ -135,11 +133,32 @@ class TestRunPlan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ex, "CHUNK", chunk)
         monkeypatch.setattr(ex.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return asked
+
+    @pytest.mark.parametrize(
+        "workers, chunk, replications, pools",
+        [(8, 50, 100, [2]), (8, 250, 100, []), (2, 50, 150, [2])],
+    )
+    def test_pool_starts_no_idle_workers(
+        self, monkeypatch, workers, chunk, replications, pools
+    ):
+        asked = self.fake_pool(monkeypatch, cpus=8)
+        monkeypatch.setattr(ex, "CHUNK", chunk)
         report = run_plan(tiny_plan(workers=workers, replications=replications))
         assert asked == pools
         serial = run_plan(tiny_plan(replications=replications))
+        assert export_report(report, "csv") == export_report(serial, "csv")
+
+    @pytest.mark.parametrize("cpus, pools", [(4, [4]), (1, []), (None, [])])
+    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch, cpus, pools):
+        # 64 workers asked for a plan of 64 chunks; os.cpu_count() may be None
+        asked = self.fake_pool(monkeypatch, cpus)
+        monkeypatch.setattr(ex, "CHUNK", 2)
+        report = run_plan(tiny_plan(workers=64, replications=128))
+        assert asked == pools
+        serial = run_plan(tiny_plan(replications=128))
         assert export_report(report, "csv") == export_report(serial, "csv")
 
     def test_progress_callback(self):
@@ -231,6 +250,19 @@ class TestBatches:
                 rejected += decision
         assert self.chunk(250, 346) == (3, rejected, degenerate)
 
+    @staticmethod
+    def batch_widths(monkeypatch):
+        """Widths of the simulate batches, appended as each batch starts."""
+        real = dgp._simulate_batch
+        widths = []
+
+        def batch(spec, seeds, start):
+            widths.append(len(seeds))
+            return real(spec, seeds, start)
+
+        monkeypatch.setattr(dgp, "_simulate_batch", batch)
+        return widths
+
     def test_one_generator_per_replication_alive_only_with_its_batch(self, monkeypatch):
         # every replication builds one generator, for its shocks and draws
         # alike; a simulate batch builds its own only, so a chunk never holds
@@ -239,13 +271,14 @@ class TestBatches:
         cfg = StatisticConfig(p0=0.40, m=50)
         real = SeedSpec.generator
         built = []
+        batches = self.batch_widths(monkeypatch)
 
         class Traced(np.random.Generator):  # a generator that takes weak references
             pass
 
         def spy(seed):
             alive = sum(ref() is not None for ref in built)
-            assert alive <= 84 + dgp._block_width(spec), alive
+            assert alive <= batches[-1] + dgp._block_width(spec), alive
             gen = Traced(real(seed).bit_generator)
             built.append(weakref.ref(gen))
             return gen
@@ -253,8 +286,25 @@ class TestBatches:
         monkeypatch.setattr(SeedSpec, "generator", spy)
         payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(5), 0, 0, ex.CHUNK)
         ex._run_chunk(payload)
-        assert len(built) == ex.CHUNK == 250
+        assert len(built) == ex.CHUNK == 250 and sum(batches) == 250
         assert all(ref() is None for ref in built)
+
+    def test_whole_chunk_batch_matches_the_former_cap(self, monkeypatch):
+        # one 250-wide batch of DGP1b at n=1000 gives the bytes of the three
+        # batches that the former 2 MiB cap made
+        plan = ExperimentPlan(
+            dgp=PresetRef("DGP1b", alpha1=1.0, sigma_uv=-0.9),
+            n_grid=(1000,),
+            p0_grid=(0.40,),
+            cfg_template=StatisticConfig(m=50),
+            replications=250,
+            master_seed=2025,
+        )
+        batches = self.batch_widths(monkeypatch)
+        wide = export_report(run_plan(plan), "csv")
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 2 * 2**20)
+        assert export_report(run_plan(plan), "csv") == wide
+        assert batches == [250, 84, 83, 83]
 
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
         # simulate_many names the failing seed by its position in the chunk's
@@ -393,10 +443,11 @@ class TestDecision:
 def test_chunk_peak_memory_is_bounded():
     # one chunk of a cell: the simulate batch, one draw block of M * n, and
     # 1 MiB of slack for the sub-block's fit stacks and the batch's
-    # generators (measured at 0.44 MiB with numpy 2.4 on the DGP1b, n=1000,
-    # M=50 cell, whose batches hold 84 generators and sub-blocks 16
-    # replications; 0.60 MiB on the DGP2c_ii, n=2000, M=18 cell, whose
-    # sub-blocks hold 4, of p=3)
+    # generators (measured at 0.76 MiB with numpy 2.4 on the DGP1b, n=1000,
+    # M=50 cell, whose one 4.58 MiB batch holds 250 generators and whose
+    # sub-blocks hold 16 replications; -0.03 MiB on the DGP2c_ii, n=2000,
+    # M=18 cell, whose 4.2 MiB batches leave room under the cap for its
+    # sub-blocks of 4, of p=3)
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
         (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),
@@ -455,6 +506,24 @@ class TestExport:
         rep.cells[0].alpha_vec = (0.75, 0.5, 0.25)
         line = export_report(rep, "csv").decode().strip().split("\n")[1]
         assert ",0.75|0.5|0.25," in line
+
+    def test_json_writes_null_for_a_cell_without_rate(self):
+        # theta0 = 5e-324 underflows every error to zero, so every
+        # replication is degenerate and the rate is not a number
+        spec = DgpSpec(
+            n=120, alpha=[1.0], c=[1.0], phi0=[0.0], beta=[0.0],
+            omega=[[1.0, -0.9], [-0.9, 1.0]], theta0=5e-324,
+        )  # fmt: skip
+        report = run_plan(tiny_plan(dgp=spec))
+        assert report.cells[0].degenerate == 100
+        assert export_report(report, "csv").decode().endswith(",nan,nan,0\n")
+
+        def no_constants(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(export_report(report, "json"), parse_constant=no_constants)
+        cell = doc["cells"][0]
+        assert cell["rejection_rate"] is None and cell["mc_se"] is None
 
     def test_json_round_trip_full_precision(self):
         rep = self.demo_report()
