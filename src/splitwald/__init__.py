@@ -55,7 +55,7 @@ from .randomization import SeedSpec, check_p0, draw_bernoulli_rows
 from .regression import (
     RegressionData,
     Restriction,
-    fit_residuals,
+    fit_in_place,
 )
 from .teststats import (
     StatisticConfig,

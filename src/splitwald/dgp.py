@@ -22,17 +22,16 @@ updates fewer than
 numpy step costs about as much at width 1 as at width 20. Both give the same
 bits. A call splits its seeds into the fewest near-equal batches whose
 buffer fits in ``SIM_BATCH_BYTES`` (5 MiB: one 250-replication chunk at
-p=1 and n <= 1000), cuts each batch the same way into sub-blocks whose fit
-stays within ``FIT_STACK_BYTES`` (2 MiB, :func:`_block_width`), and yields
-each sub-block as the ``(w, n)`` and ``(w, n, p)`` stacks that a stacked
-fit takes, copied once from the buffer. It frees each batch's buffer before
-it allocates the next. :func:`simulate` is the one-seed case.
+p=1 and n <= 1000), the one memory rule of a Monte Carlo chunk, and yields
+each batch as views of its buffer, which a fit takes in place
+(:func:`~splitwald.regression.fit_in_place`). Only the caller holds a
+batch, so once it lets go, the buffer is freed before the next batch
+allocates its own. :func:`simulate` is the one-seed case.
 
-Each sub-block comes with its replications' generators, positioned just
-after their shocks, so that each replication's Bernoulli draws continue the
-same stream (stream layout 5, see :mod:`splitwald.randomization`). A batch
-builds the generators of its own seeds only, so at most one batch's
-generators are alive beyond the sub-blocks that a caller still holds.
+Each batch comes with its replications' generators, positioned just after
+their shocks, so that each replication's Bernoulli draws continue the same
+stream (stream layout 5, see :mod:`splitwald.randomization`). A batch
+builds the generators of its own seeds only.
 """
 
 import math
@@ -68,15 +67,6 @@ ARRAY_RECURSION_MIN_VALUES = 40
 # and 4156 reps/s (in-process plans, 2 cores, numpy 2.4), and the bench's
 # peak RSS rose 7.0%, from 46.0 to 49.2 MiB.
 SIM_BATCH_BYTES = 5 * 2**20
-
-# Budget of one fit sub-block's arrays, and the bound on the arrays of
-# n * (p + 1) float64 values that one of its replications holds at once:
-# the stacked data, its centred copy, the QR factor and LAPACK's copy, the
-# residuals. Measured with tracemalloc (numpy 2.4): 4.8 at DGP1b, n=1000,
-# and 3.5 (4.5 with a subset null) at DGP2c_ii, n=2000. A 5 MiB budget for
-# the fit too was slower and took the bench's peak RSS to 50.8 MiB.
-FIT_STACK_BYTES = 2 * 2**20
-FIT_STACK_ARRAYS = 8
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
 OMEGA_THREE_PREDICTOR = np.array(
@@ -213,63 +203,44 @@ class DgpSpec:
         return 1.0 - self.c / float(self.n) ** self.alpha
 
 
-def _split(total, widest):
-    """``(lo, hi)`` bounds of the fewest near-equal slices of ``range(total)``
-    that hold at most ``widest`` each."""
-    count = -(-total // widest)
-    lo = 0
-    for k in range(count):
-        hi = lo + total // count + (k < total % count)
-        yield lo, hi
-        lo = hi
-
-
-def _block_width(spec):
-    """Replications per sub-block of a batch: as many as keep the fit's
-    stacks within ``FIT_STACK_BYTES``.
-
-    While a sub-block is fitted, each of its replications holds at most
-    ``FIT_STACK_ARRAYS`` float64 arrays of ``n * (p + 1)`` values at once.
-    That is 16 replications at DGP1b with n=1000 and 4 at DGP2c_ii with
-    n=2000.
-    """
-    per_replication = FIT_STACK_ARRAYS * 8 * spec.n * (spec.p + 1)
-    return max(1, FIT_STACK_BYTES // per_replication)
-
-
 def simulate_many(spec, seeds):
     """Generate one sample from ``spec`` per seed in the sequence ``seeds``,
-    in sub-blocks sized for a stacked fit.
+    in batches that a fit takes in place.
 
     The recursion starts from zero predictor and error states with the ARCH
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
-    The seeds run in the fewest near-equal batches whose buffer fits in
-    ``SIM_BATCH_BYTES``, and each batch yields the fewest near-equal
-    sub-blocks of at most :func:`_block_width` replications, in seed order,
-    as ``(y, X, streams)``: C-contiguous ``(w, n)`` and ``(w, n, p)`` stacks
-    of the predictand and the lagged predictors, and each replication's
-    generator, positioned after the shocks it drew. The first replication whose state is not
-    finite or exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow`
-    carrying its position in ``seeds`` as ``index``, before any sub-block of
-    its batch is produced.
+    The seeds run, in order, in the fewest near-equal batches whose buffer
+    fits in ``SIM_BATCH_BYTES``. A batch is ``(data, scratch, streams)``:
+    the time-major ``(n, p + 1, w)`` sample that
+    :func:`~splitwald.regression.fit_in_place` takes, whose ``data[t, :p, i]``
+    holds replication ``i``'s lagged predictors ``x_{t-1}`` and
+    ``data[t, p, i]`` its error ``u_t``; the buffer's burn-in rows, which the
+    fit may overwrite; and each replication's generator, positioned after
+    the shocks it drew. The first replication whose state is not finite or
+    exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
+    position in ``seeds`` as ``index``, before its batch is produced.
     """
     widest = max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
-    for lo, hi in _split(len(seeds), widest):
-        # the batch's buffer lives in its own generator, which is exhausted
-        # and freed before the next batch allocates one
-        yield from _simulate_batch(spec, seeds[lo:hi], lo)
+    count = -(-len(seeds) // widest)
+    lo = 0
+    for k in range(count):
+        hi = lo + len(seeds) // count + (k < len(seeds) % count)
+        yield _simulate_batch(spec, seeds[lo:hi], lo)  # held by the caller only
+        lo = hi
 
 
 def _simulate_batch(spec, seeds, start):
-    """The sub-blocks of one batch of :func:`simulate_many`, whose first
-    seed is at position ``start``.
+    """One batch of :func:`simulate_many`, whose first seed is at position
+    ``start``.
 
     Seed ``r`` draws its shocks from its generator into slice ``r`` of one
     time-major buffer, whose row 0 is the zero start state, and the
     recursions run in place on it; both recursion paths apply the same
-    operations in the same order.
+    operations in the same order. Each time step's ``p + 1`` rows follow the
+    last, so the predictors of a step and the error of the next are ``p + 1``
+    consecutive rows: the sample starts at the last burn-in predictors.
     """
     total = spec.burn_in + spec.n
     buf = np.empty((total + 1, spec.p + 1, len(seeds)))
@@ -285,20 +256,20 @@ def _simulate_batch(spec, seeds, start):
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
     _check_overflow(buf, start)
-    b, n = spec.burn_in, spec.n
-    for lo, hi in _split(len(seeds), _block_width(spec)):
-        # copied: a fit of the strided buffer rounds differently
-        X = buf[b : b + n, 1:, lo:hi].transpose(2, 0, 1).copy()
-        y = spec.mu + X @ spec.beta
-        y += buf[b + 1 : b + 1 + n, 0, lo:hi].T
-        yield y, X, streams[lo:hi]
+    rows = buf.reshape(-1, len(seeds))
+    first = spec.burn_in * (spec.p + 1) + 1
+    data = rows[first : first + spec.n * (spec.p + 1)].reshape(spec.n, spec.p + 1, -1)
+    return data, rows[:first], streams
 
 
 def simulate(spec, seed):
     """One sample from ``spec`` on the stream at ``seed``, the one-seed case
     of :func:`simulate_many`: ``(y, X_lagged, stream)``, with the generator
     positioned after the shocks it drew."""
-    (y,), (X_lagged,), (stream,) = next(simulate_many(spec, [seed]))
+    data, _, (stream,) = next(simulate_many(spec, [seed]))
+    X_lagged = data[:, : spec.p, 0].copy()
+    y = spec.mu + X_lagged @ spec.beta
+    y += data[:, spec.p, 0]
     return y, X_lagged, stream
 
 

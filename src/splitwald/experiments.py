@@ -9,12 +9,12 @@ integer counting, so reports are bit-identical for a fixed master seed
 regardless of the worker count.
 
 A chunk runs as arrays from the fit to the decision. One ``simulate_many``
-call yields its replications as fit stacks sized to stay within
-``dgp.FIT_STACK_BYTES``, each with its replications' streams; each stack
-is one stacked fit and statistic set-up
+call yields its replications in batches whose buffer stays within
+``dgp.SIM_BATCH_BYTES``, each with its replications' streams; each batch is
+fitted in its buffer and set up as one
 (:class:`~splitwald.teststats.StatisticSetup`). Each replication then draws
 its Bernoulli rows from its stream and takes their ``StatisticSetup.sums``,
-and one ``StatisticSetup.statistics`` call scores the stack. The decision is
+and one ``StatisticSetup.statistics`` call scores the batch. The decision is
 :func:`splitwald.teststats.reject_rule`, which equals ``p < alpha``. This
 module only chunks, seeds and counts.
 """
@@ -197,15 +197,15 @@ class ExperimentReport:
         return any(cell.flagged for cell in self.cells)
 
 
-def _run_block(y, X, streams, cfg, restriction, m, reject):
-    """``(rejected, degenerate)`` over one sub-block: its ``(w, n)`` and
-    ``(w, n, p)`` stacks fitted and set up as one, each replication's draws
-    taken from its stream, and scored together."""
-    setup = StatisticSetup.fit(y, X, restriction)
+def _run_batch(spec, cfg, restriction, m, reject, data, scratch, streams):
+    """``(rejected, degenerate)`` over one simulate batch: fitted in its
+    buffer and set up as one, each replication's draws taken from its
+    stream, and scored together."""
+    setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
     sums = np.empty((len(streams), m, 4))
     for i, stream in enumerate(streams):
         # one expression, so no draw block outlives its sums
-        setup.sums(i, draw_bernoulli_rows(y.shape[1], cfg.p0, m, stream), out=sums[i])
+        setup.sums(i, draw_bernoulli_rows(spec.n, cfg.p0, m, stream), out=sums[i])
     s_n, _, _, degenerate = setup.statistics(sums)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
     return rejected, int(degenerate.sum())
@@ -213,7 +213,7 @@ def _run_block(y, X, streams, cfg, restriction, m, reject):
 
 def _run_chunk(payload):
     """Count rejections over one fixed chunk of replications of one cell,
-    in the sub-blocks that ``simulate_many`` yields."""
+    in the batches that ``simulate_many`` yields."""
     spec, cfg, restriction, seed, cell_id, start, stop = payload
     m = cfg.resolve_m(spec.n)
     reject = reject_rule(cfg, m)
@@ -221,8 +221,9 @@ def _run_chunk(payload):
     degenerate = 0
     seeds = [seed.child(cell_id, r) for r in range(start, stop)]
     try:
-        for y, X, streams in simulate_many(spec, seeds):
-            counts = _run_block(y, X, streams, cfg, restriction, m, reject)
+        for batch in simulate_many(spec, seeds):
+            counts = _run_batch(spec, cfg, restriction, m, reject, *batch)
+            del batch  # its buffer goes before the next batch allocates one
             rejected += counts[0]
             degenerate += counts[1]
     except NumericOverflow as exc:

@@ -1,19 +1,13 @@
 """Ordinary and linearly-restricted least squares for predictive regressions.
 
 Fits ``y_t = mu + beta' x_{t-1} + u_t`` (the intercept is always estimated)
-and the same model subject to ``R beta = 0`` with the intercept left free.
-Solutions go through an orthogonal (QR) factorization rather than explicit
-normal-equation inversion: near-integrated predictors make ``X'X`` badly
-conditioned at the sample sizes this package targets.
-
-The test statistic needs only the residuals of both fits, so
-:func:`fit_residuals` returns those and no coefficients. It fits a whole
-stack of replications: it centres each replication's ``y`` and ``X``, which
-takes the intercept out, and factors the centred predictors with one
-stacked QR. The restricted fit regresses on the predictors times a
-null-space basis of ``R``, which the :class:`Restriction` computes once.
-The Monte Carlo harness fits a sub-block of replications per call and
-``splitwald test`` a stack of one.
+and the same model subject to ``R beta = 0`` with the intercept left free,
+through modified Gram-Schmidt rather than the normal equations:
+near-integrated predictors make ``X'X`` badly conditioned at the sample
+sizes this package targets. The statistic needs only the residuals of both
+fits, so :func:`fit_in_place` returns those, for a whole time-major batch
+of replications in one pass: the Monte Carlo harness fits each simulate
+batch in its buffer, and ``splitwald test`` a batch of one.
 """
 
 import math
@@ -83,8 +77,15 @@ class Restriction:
         _, s, vt = np.linalg.svd(R)
         if s[-1] <= 1e-12 * s[0]:
             raise SingularRestriction("restriction matrix is rank-deficient")
-        # (p, p - r) orthonormal basis of the slopes that satisfy R beta = 0
-        self.null_basis = vt[r:].T
+        # The fit's column order, free slopes first. A coordinate subset, the
+        # all-slopes null among them, only orders the columns of X; any other
+        # R rotates X into the orthonormal basis [null space, row space of R].
+        rows, cols = np.nonzero(R)
+        self.rotation = np.concatenate([vt[r:], vt[:r]]).T
+        restricted = range(p - r, p)
+        if np.array_equal(rows, np.arange(r)):
+            self.rotation, restricted = None, cols.tolist()
+        self.order = [j for j in range(p) if j not in restricted] + list(restricted)
 
     @property
     def p(self):
@@ -112,59 +113,77 @@ class Restriction:
         return cls(R)
 
 
-def fit_residuals(y, X, restriction):
-    """``(u1, u0)``: the ``(R, n)`` unrestricted and restricted residuals of
-    a stack of replications, without their coefficients.
+def fit_in_place(data, restriction, beta=None, scratch=None):
+    """``(u0, u1)``: the ``(n, R)`` restricted and unrestricted residuals of
+    a time-major batch, as views of ``data``, whose other values it
+    overwrites.
 
-    ``y`` is ``(R, n)`` and ``X`` is ``(R, n, p)``; replication ``i`` is the
-    sample ``(y[i], X[i])``. Centring ``y`` and ``X`` per replication takes
-    the intercept out of both fits, so one stacked QR of the centred
-    predictors fits every replication, and ``u1`` is the centred ``y`` minus
-    its stacked projection.
+    ``data[t, :p, i]`` holds replication ``i``'s predictors ``x_{t-1}`` and
+    ``data[t, p, i]`` its ``e_t``, of ``y_t = mu + beta' x_{t-1} + e_t``
+    (``beta`` defaults to zero). ``scratch`` is ``(s, R)``, overwritten a
+    slab of ``s`` rows at a time (``(n, R)`` when None).
 
-    The design check is the augmented design's, per replication: its R
-    factor is ``[[sqrt(n), sqrt(n) xbar'], [0, R_c]]`` with ``R_c`` the
-    centred one, and rcond of ``X'X`` is the squared ratio of that small
-    matrix's extreme singular values.
-
-    The restricted slopes are ``beta = N gamma`` with ``N`` the
-    restriction's null-space basis, so ``u0`` comes from a second QR, of
-    ``xc @ N``. The all-slopes null leaves no regressor: ``u0`` is the
-    centred ``y`` itself.
+    Centring takes the intercept out: the centred ``y`` is ``e_c + X_c
+    beta``. One modified Gram-Schmidt pass over the predictors in
+    :attr:`Restriction.order`, with ``y`` as one more column (Bjorck 1967),
+    leaves the residual of ``y`` after the free columns, ``u0``, and after
+    all, ``u1``; each residual of ``y`` goes where its column was. Per
+    replication, rcond of ``X'X`` is the squared ratio of the extreme
+    singular values of the augmented R factor ``[[sqrt(n), sqrt(n) xbar'],
+    [0, R_c]]``. Every sum runs in time order, whatever the batch width.
     """
-    count, n, p = X.shape
+    n, p, width = data.shape[0], data.shape[1] - 1, data.shape[2]
     _check_size(n, p)
-    xbar = X.mean(axis=1)
-    yc = y - y.mean(axis=1)[:, None]
-    xc = X - xbar[:, None, :]
-    q, rc = np.linalg.qr(xc)
-    aug = np.zeros((count, p + 1, p + 1))
-    aug[:, 0, 0] = math.sqrt(n)
-    aug[:, 0, 1:] = math.sqrt(n) * xbar
-    aug[:, 1:, 1:] = rc
-    s = np.linalg.svd(aug, compute_uv=False)
-    rcond = (s[:, -1] / s[:, 0]) ** 2
+    if restriction.p != p:
+        raise SingularRestriction(
+            f"restriction acts on {restriction.p} slopes but data has {p}"
+        )
+    X, y = data[:, :p], data[:, p]
+    if restriction.rotation is not None:  # into a new array
+        X = np.einsum("tjr,ji->tir", X, restriction.rotation)
+        beta = None if beta is None else restriction.rotation.T @ beta
+    scratch = np.empty((n, width)) if scratch is None else scratch
+    xbar = time_sum(X) / n
+    X -= xbar
+    y -= time_sum(y) / n
+    for j in [] if beta is None else np.flatnonzero(beta):
+        _subtract_multiple(y, -beta[j], X[:, j], scratch)
+    cols = [X[:, j] for j in restriction.order]
+    rc = np.zeros((width, p + 1, p + 1))  # the augmented R factor
+    rc[:, 0, 0] = math.sqrt(n)
+    rc[:, 0, 1:] = math.sqrt(n) * xbar[restriction.order].T
+    u0 = y
+    with np.errstate(divide="ignore", invalid="ignore"):  # the check reports it
+        for k, q in enumerate(cols):
+            norm = rc[:, k + 1, k + 1] = np.sqrt(time_dot(q, q))
+            q /= norm
+            for j in range(k + 1, p):
+                c = rc[:, k + 1, j + 1] = time_dot(q, cols[j])
+                _subtract_multiple(cols[j], c, q, scratch)
+            # q's last use: the residual of y is written over it
+            np.multiply(q, time_dot(q, y), out=q)
+            y = np.subtract(y, q, out=q)
+            if k + 1 == p - restriction.R.shape[0]:  # the free columns done
+                u0 = y
+    # a column of zero norm leaves R_c not finite, and singular
+    finite = np.isfinite(rc).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], rc, 0.0), compute_uv=False)
+    rcond = np.where(finite, (s[:, -1] / s[:, 0]) ** 2, 0.0)
     bad = np.flatnonzero(~(rcond >= RCOND_TOL))
     if bad.size:
         raise SingularDesign(
             f"augmented design is rank-deficient (rcond(X'X)={rcond[bad[0]]:.3e}); "
             "check for collinear predictors"
         )
-    if restriction.p != p:
-        raise SingularRestriction(
-            f"restriction acts on {restriction.p} slopes but data has {p}"
-        )
-    u1 = _project_out(yc, q)
-    basis = restriction.null_basis
-    if not basis.shape[1]:
-        return u1, yc
-    return u1, _project_out(yc, np.linalg.qr(xc @ basis)[0])
+    return u0, y
 
 
-def _project_out(yc, q):
-    """``yc`` minus its projection on the columns of the stacked ``q``."""
-    qty = q.transpose(0, 2, 1) @ yc[:, :, None]
-    return yc - (q @ qty)[:, :, 0]
+def _subtract_multiple(v, c, q, scratch):
+    """``v -= c * q`` in place, through ``scratch`` a slab of rows at a time."""
+    step = scratch.shape[0]
+    for lo in range(0, v.shape[0], step):
+        part = q[lo : lo + step]
+        v[lo : lo + step] -= np.multiply(part, c, out=scratch[: part.shape[0]])
 
 
 def _check_size(n, p):
@@ -172,9 +191,12 @@ def _check_size(n, p):
         raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
 
 
-def residual_variance(residuals):
-    """n-divisor variance ``u'u / n`` of residuals around zero, per row of a
-    stack (or of one residual vector)."""
-    u = residuals
-    return (u[..., None, :] @ u[..., :, None])[..., 0, 0] / u.shape[-1]
+def time_sum(a):
+    """Sums over the strided time axis 0, added in time order for each
+    replication at any batch width (``sum`` adds a lone column pairwise)."""
+    return np.einsum("t...->...", a)
 
+
+def time_dot(a, b):
+    """``sum_t a_t b_t`` per replication, in time order as :func:`time_sum`."""
+    return np.einsum("t...,t...->...", a, b)

@@ -11,18 +11,17 @@ null; its centered and scaled version ``(S_M - M) / sqrt(2 M)`` is standard
 normal when ``M`` grows with the sample (but slower than it).
 
 The statistics run in two stages, so that the Monte Carlo harness can run
-both on a stack of replications. :class:`StatisticSetup` fits both
-regressions on an ``(R, n)`` stack and computes, as arrays, everything that
-does not depend on the draws. Per replication, the ``M`` draws are the rows
-of one Bernoulli block (stream layout 5, four draws per SFC64 word, see
-:mod:`splitwald.randomization`), and one ``(M, n) @ (n, 4)`` product
-(:meth:`StatisticSetup.sums`) gives each row's three masked sums and its
-count of ones. The weights take two values per row, so every row's mean and
-variance of ``d`` are closed forms in those sums.
-:meth:`StatisticSetup.statistics` evaluates them once for the whole stack on
-``(R, M)`` arrays, without forming any ``d``, and marks the replications
-with a degenerate draw.
-:func:`run_test` is the one-replication case of the same two stages.
+both on a batch of replications. :class:`StatisticSetup` fits both
+regressions of a time-major batch in place and computes, as arrays,
+everything that does not depend on the draws. Per replication, the ``M``
+draws are the rows of one Bernoulli block (stream layout 5, four draws per
+SFC64 word, see :mod:`splitwald.randomization`), and one ``(M, n) @ (n, 4)``
+product (:meth:`StatisticSetup.sums`) gives each row's three masked sums and
+its count of ones. The weights take two values per row, so every row's mean
+and variance of ``d`` are closed forms in those sums.
+:meth:`StatisticSetup.statistics` evaluates them once for the whole batch
+on ``(R, M)`` arrays, without forming any ``d``, and marks the replications
+with a degenerate draw. :func:`run_test` is the one-replication case.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
@@ -44,7 +43,7 @@ import numpy as np
 from .distributions import ChiSquareParams, chisq_quantile, chisq_sf, normal_sf
 from .errors import DegenerateVariance, check_integer
 from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
-from .regression import fit_residuals, residual_variance
+from .regression import fit_in_place, time_dot, time_sum
 from .theory import check_alpha, check_mn_delta, mn_rule
 
 
@@ -159,17 +158,17 @@ class TestOutcome:
 
 
 class StatisticSetup:
-    """The draw-free part of the statistics of a stack of R replications.
+    """The draw-free part of the statistics of a batch of R replications.
 
-    ``u0_sq`` and ``u1_sq`` are the ``(R, n)`` restricted and unrestricted
-    squared residuals and ``sigma2_1`` the ``(R,)`` unrestricted variances.
-    With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` of the draws has
-    ``d_t = k_t a_t - c_t`` where ``k_t`` is ``1/(2 b_bar)`` on its ones and
-    ``1/(2 (1 - b_bar))`` on its zeros, so ``sum(d)`` and ``sum(d^2)`` follow
-    from the masked sums ``b @ [a, a^2, a c]``, the row's count of ones
-    ``b @ 1`` and fixed totals. The set-up holds the ``(R, 4, n)`` rows
-    ``[a, a^2, a c, 1]``, their totals and the sum and square sum of ``c``,
-    computed on the whole stack at once.
+    ``u0_sq`` and ``u1_sq`` are the time-major ``(n, R)`` restricted and
+    unrestricted squared residuals and ``sigma2_1`` the ``(R,)`` unrestricted
+    variances. With ``a = u0^2 - s2`` and ``c = u1^2 - s2``, row ``j`` of the
+    draws has ``d_t = k_t a_t - c_t`` where ``k_t`` is ``1/(2 b_bar)`` on its
+    ones and ``1/(2 (1 - b_bar))`` on its zeros, so ``sum(d)`` and
+    ``sum(d^2)`` follow from the masked sums ``b @ [a, a^2, a c]``, the
+    row's count of ones ``b @ 1`` and fixed totals. The set-up writes ``a``
+    and ``c`` over the squared residuals and computes their totals and the
+    sum and square sum of ``c`` on the whole batch at once.
 
     The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
     ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
@@ -179,41 +178,43 @@ class StatisticSetup:
 
     A caller draws each replication's rows with
     :func:`~splitwald.randomization.draw_bernoulli_rows`, takes their
-    :meth:`sums` and scores the stack's sums with :meth:`statistics`; the
+    :meth:`sums` and scores the batch's sums with :meth:`statistics`; the
     decision on each replication's total is :func:`reject_rule` in the
     harness and :func:`p_value` in :func:`run_test`.
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
+        self.n = u0_sq.shape[0]
         self.sigma2_1 = sigma2_1
-        self.rows = np.empty((u0_sq.shape[0], 4, u0_sq.shape[1]))
-        a = np.subtract(u0_sq, sigma2_1[:, None], out=self.rows[:, 0])
-        c = u1_sq - sigma2_1[:, None]
-        self.m0 = a.mean(axis=1) - c.mean(axis=1)
-        c += self.m0[:, None]
-        np.multiply(a, a, out=self.rows[:, 1])
-        np.multiply(a, c, out=self.rows[:, 2])
-        self.rows[:, 3] = 1.0
-        self.totals = self.rows[:, :3].sum(axis=2)
-        self.c_sum = c.sum(axis=1)
-        self.c_sq = (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+        self.a = a = np.subtract(u0_sq, sigma2_1, out=u0_sq)
+        self.c = c = np.subtract(u1_sq, sigma2_1, out=u1_sq)
+        self.m0 = time_sum(a) / self.n - time_sum(c) / self.n
+        c += self.m0
+        self.totals = np.stack([time_sum(a), time_dot(a, a), time_dot(a, c)])
+        self.c_sum = time_sum(c)
+        self.c_sq = time_dot(c, c)
+        self.rows = np.ones((4, self.n))  # [a, a^2, a c, 1] of one replication
 
     @classmethod
-    def fit(cls, y, X, restriction):
-        """Both least-squares fits of an ``(R, n)`` / ``(R, n, p)`` stack by
-        :func:`fit_residuals`, then the set-up of their statistics, with both
-        residual stacks squared in place."""
-        u1, u0 = fit_residuals(y, X, restriction)
-        sigma2_1 = residual_variance(u1)
-        u1 **= 2
-        u0 **= 2
+    def fit(cls, data, restriction, beta=None, scratch=None):
+        """Both fits of a time-major batch by :func:`fit_in_place`, then the
+        set-up of their statistics, with both residuals squared in place."""
+        u0, u1 = fit_in_place(data, restriction, beta, scratch)
+        u1 *= u1
+        sigma2_1 = time_sum(u1) / u1.shape[0]
+        u0 *= u0
         return cls(u0, u1, sigma2_1)
 
     def sums(self, r, b, out=None):
         """The ``(M, 4)`` sums ``b @ [a, a^2, a c, 1]`` of replication ``r``
         for its ``(M, n)`` 0/1 draws ``b``: the three masked sums and the
-        count of ones of every row, in one product."""
-        return np.matmul(b, self.rows[r].T, out=out)
+        count of ones of every row, in one product, of rows filled from the
+        batch's ``a`` and ``c`` for the call."""
+        a, c, rows = self.a[:, r], self.c[:, r], self.rows
+        rows[0] = a
+        np.multiply(a, a, out=rows[1])
+        np.multiply(a, c, out=rows[2])
+        return np.matmul(b, rows.T, out=out)
 
     def statistics(self, sums):
         """``(s_n, d_bar, s_d2, degenerate)`` of the ``(R, M, 4)`` stack of
@@ -224,22 +225,21 @@ class StatisticSetup:
         A draw whose ``d`` is numerically constant cannot be studentized;
         its ``s_n`` is meaningless, and its replication is marked.
         """
-        n = self.rows.shape[2]
+        n = self.n
         s_a, s_aa, s_ac, counts = np.moveaxis(sums, 2, 0)
-        t_a, t_aa, t_ac = (t[:, None] for t in self.totals.T)
+        t_a, t_aa, t_ac = self.totals[:, :, None]
         b_bar = counts / n
         k1 = 0.5 / b_bar
         k0 = 0.5 / (1.0 - b_bar)
         sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[:, None]
-        sum_d2 = (
-            k1 * k1 * s_aa
-            + k0 * k0 * (t_aa - s_aa)
-            - 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
-            + self.c_sq[:, None]
-        )
-        shift = sum_d / n
+        sum_d2 = k1 * k1 * s_aa + k0 * k0 * (t_aa - s_aa)
+        sum_d2 -= 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
+        sum_d2 += self.c_sq[:, None]
+        del b_bar, k0, k1  # a whole batch's (R, M) arrays add up
+        shift = np.divide(sum_d, n, out=sum_d)
         d_bar = self.m0[:, None] + shift
-        s_d2 = sum_d2 / n - shift * shift
+        s_d2 = np.divide(sum_d2, n, out=sum_d2)
+        s_d2 -= shift * shift
         with np.errstate(divide="ignore", invalid="ignore"):
             s_n = n * d_bar * d_bar / s_d2
         degenerate = _degenerate(d_bar, s_d2, self.sigma2_1[:, None])
@@ -326,7 +326,8 @@ def run_test(data, restriction, cfg, seed):
     draw raises :class:`DegenerateVariance` carrying its 1-based index.
     """
     m = cfg.resolve_m(data.n)
-    setup = StatisticSetup.fit(data.y[None], data.X[None], restriction)
+    batch = np.column_stack([data.X, data.y])[:, :, None]  # time-major, of one
+    setup = StatisticSetup.fit(batch, restriction)
     b = draw_bernoulli_rows(data.n, cfg.p0, m, seed.generator())
     s_n, d_bar, s_d2 = _one_replication(setup, b)
     s_m = float(s_n.sum())

@@ -180,8 +180,12 @@ def check_mn_delta(delta):
 
 
 def mn_rule(n, p0, delta):
-    """Draw-count growth rule ``floor((n / p0)^delta)``, clamped at 1."""
+    """Draw-count growth rule ``floor((n / p0)^delta)``, clamped at 1. A
+    power within 1e-9 (relative) of an integer, such as ``1000 ** (1/3)``
+    at 9.999999999999998, is that integer before the floor."""
     check_integer("n", n, 2)
     p0 = check_p0(p0)
-    delta = check_mn_delta(delta)
-    return max(1, int(math.floor((n / p0) ** delta)))
+    power = (n / p0) ** check_mn_delta(delta)
+    if abs(power - round(power)) <= 1e-9 * power:
+        power = round(power)
+    return max(1, int(math.floor(power)))

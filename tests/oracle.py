@@ -8,14 +8,17 @@ library computes the same quantities for all draws at once in closed form
 ``closed_form_statistics`` calls it on a set-up of one replication.
 
 ``DesignFactor`` fits one dataset, coefficients included, through the QR
-of its uncentred augmented design, as the library did before
-:func:`splitwald.regression.fit_residuals` fitted the residuals of a
-centred stack of replications. ``replication_oracle`` runs one replication
+of its uncentred augmented design, as the library did before it fitted the
+residuals of a centred stack of replications. ``fit_residuals`` is that
+centred stacked fit, one QR for the unrestricted and one for the
+restricted model, as the library did before
+:func:`splitwald.regression.fit_in_place` fitted a time-major batch with
+one Gram-Schmidt pass. ``replication_oracle`` runs one replication
 on one generator: ``simulate_oracle`` from the start of the stream,
 ``DesignFactor``, the Bernoulli rows from the continuation of the same
 stream, ``closed_form_statistics``, then the p-value from ``chisq_sf`` or
 ``normal_sf`` and ``p < alpha``, as the harness did before it fitted, set up
-and scored sub-blocks as arrays and decided by the critical value.
+and scored batches as arrays and decided by the critical value.
 ``run_plan_oracle`` runs a plan through it one replication at a time.
 
 ``bernoulli_rows_oracle`` defines stream layout 5 arithmetically: it splits
@@ -68,16 +71,15 @@ class LengthMismatch(SplitwaldError):
 
 def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b):
     """``(s_n, d_bar, s_d2)`` of the ``(M, n)`` rows ``b`` by the library's
-    closed form: a :class:`StatisticSetup` of one replication with these
-    squared residuals and unrestricted variance, scored as ``run_test``
-    scores it, raising :class:`DegenerateVariance` at the first degenerate
-    draw.
+    closed form: a :class:`StatisticSetup` of one replication with copies of
+    these squared residuals and this unrestricted variance, scored as
+    ``run_test`` scores it, raising :class:`DegenerateVariance` at the first
+    degenerate draw.
     """
-    setup = StatisticSetup(
-        np.asarray(u0_sq, dtype=np.float64)[None],
-        np.asarray(u1_sq, dtype=np.float64)[None],
-        np.array([float(sigma2_1)]),
-    )
+    # laid out as the library lays out a batch of one: two columns of one
+    # time-major array, so its sums over time take the same order
+    batch = np.stack([u0_sq, u1_sq], axis=1).astype(np.float64)[:, :, None]
+    setup = StatisticSetup(batch[:, 0], batch[:, 1], np.array([float(sigma2_1)]))
     return _one_replication(setup, b)
 
 
@@ -158,7 +160,7 @@ class OracleFit:
 
 
 class DesignFactor:
-    """Per-dataset reference for :func:`splitwald.regression.fit_residuals`.
+    """Per-dataset reference for :func:`splitwald.regression.fit_in_place`.
 
     One QR factorization of the uncentred augmented design ``[1, X]``, shared
     by both fits; the restricted fit projects the unrestricted estimate onto
@@ -215,6 +217,48 @@ class DesignFactor:
             )
         correction = ainv_rt @ np.linalg.solve(small, Rt @ theta)
         return self._finish(theta - correction)
+
+
+def fit_residuals(y, X, restriction):
+    """``(u1, u0)``: the ``(R, n)`` unrestricted and restricted residuals of
+    a stack of replications, through a stacked QR: the reference for
+    :func:`splitwald.regression.fit_in_place`, and the library's fit before
+    it fitted each simulate batch in place.
+
+    ``y`` is ``(R, n)`` and ``X`` is ``(R, n, p)``. Centring ``y`` and ``X``
+    per replication takes the intercept out of both fits, so one stacked QR
+    of the centred predictors fits every replication. The restricted slopes
+    are ``beta = N gamma`` with ``N`` the restriction's null-space basis, so
+    ``u0`` comes from a second QR, of ``xc @ N``; the all-slopes null leaves
+    no regressor, and ``u0`` is the centred ``y``. The design check is the
+    library's rule on the augmented R factor ``[[sqrt(n), sqrt(n) xbar'],
+    [0, R_c]]``.
+    """
+    count, n, p = X.shape
+    if n < p + 2:
+        raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
+    xbar = X.mean(axis=1)
+    yc = y - y.mean(axis=1)[:, None]
+    xc = X - xbar[:, None, :]
+    q, rc = np.linalg.qr(xc)
+    aug = np.zeros((count, p + 1, p + 1))
+    aug[:, 0, 0] = math.sqrt(n)
+    aug[:, 0, 1:] = math.sqrt(n) * xbar
+    aug[:, 1:, 1:] = rc
+    s = np.linalg.svd(aug, compute_uv=False)
+    if not ((s[:, -1] / s[:, 0]) ** 2 >= RCOND_TOL).all():
+        raise SingularDesign("augmented design is rank-deficient")
+    if restriction.p != p:
+        raise SingularRestriction(
+            f"restriction acts on {restriction.p} slopes but data has {p}"
+        )
+
+    def project_out(q):
+        return yc - (q @ (q.transpose(0, 2, 1) @ yc[:, :, None]))[:, :, 0]
+
+    basis = np.linalg.svd(restriction.R)[2][restriction.R.shape[0] :].T  # null space
+    u0 = project_out(np.linalg.qr(xc @ basis)[0]) if basis.shape[1] else yc
+    return project_out(q), u0
 
 
 def replication_oracle(spec, cfg, restriction, gen):

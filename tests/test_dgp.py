@@ -53,22 +53,24 @@ def assert_same_sample(y, X, stream, ref, next_words):
     assert np.array_equal(stream.bit_generator.random_raw(2), next_words)
 
 
-def assert_blocks_match(blocks, refs, batches, width):
-    """Each batch of ``batches`` (their widths, in order) comes as the fewest
-    near-equal sub-blocks of at most ``width``: C-contiguous stacks that lie
-    within their batch and equal the oracle row by row."""
+def assert_batches_match(batches, refs, widths):
+    """Each batch comes with the width of ``widths``, in order, as views of
+    one buffer: a time-major sample whose predictors and errors equal the
+    oracle's row by row, and the burn-in rows before it as the fit's
+    scratch."""
     refs = iter(refs)
-    for batch in batches:
-        count = -(-batch // width)
-        for k in range(count):
-            y, X, streams = next(blocks)
-            w = batch // count + (k < batch % count)
-            n, p = X.shape[1:]
-            assert y.shape == (w, n) and X.shape == (w, n, p) and len(streams) == w
-            assert y.flags.c_contiguous and X.flags.c_contiguous
-            for i, (ref, next_words) in zip(range(w), refs):
-                assert_same_sample(y[i], X[i], streams[i], ref, next_words)
-    assert next(blocks, None) is None and next(refs, None) is None
+    for width in widths:
+        data, scratch, streams = next(batches)
+        n, k, w = data.shape
+        p = k - 1
+        assert w == width and len(streams) == w and data.flags.c_contiguous
+        assert scratch.shape[1] == w and scratch.base is data.base
+        assert not np.shares_memory(scratch, data)
+        for i, (ref, next_words) in zip(range(w), refs):
+            assert np.array_equal(data[:, :p, i], ref.X_lagged)
+            assert np.array_equal(data[:, p, i], ref.u)
+            assert np.array_equal(streams[i].bit_generator.random_raw(2), next_words)
+    assert next(batches, None) is None and next(refs, None) is None
 
 
 class TestCholesky:
@@ -270,18 +272,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("burn_in", [0, 1, 50])
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_batch_matches_row_wise_oracle(self, monkeypatch, name, burn_in):
-        # batch widths on both sides of the switch to the array recursion,
-        # each cut into sub-blocks of 1, 7 and 16 replications and whole
+    def test_batch_matches_row_wise_oracle(self, name, burn_in):
+        # batch widths on both sides of the switch to the array recursion
         kwargs = {"alpha1": 0.95, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
         spec = preset(name, 60, phi0=0.25, beta=0.1, burn_in=burn_in, **kwargs)
         narrowest = -(-ARRAY_RECURSION_MIN_VALUES // (spec.p + 1))
         for width in (1, narrowest - 1, narrowest, 83):
             seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
             refs = oracle_samples(spec, seeds)
-            for block in (1, 7, 16, width):
-                monkeypatch.setattr(dgp, "_block_width", lambda spec: block)
-                assert_blocks_match(simulate_many(spec, seeds), refs, [width], block)
+            assert_batches_match(simulate_many(spec, seeds), refs, [width])
 
     @pytest.mark.parametrize(
         "name, width, arrays",
@@ -347,25 +346,21 @@ class TestBatches:
         """Widths of the batches simulate_many makes for ``count`` seeds."""
         widths = []
         monkeypatch.setattr(
-            dgp,
-            "_simulate_batch",
-            lambda spec, seeds, start: widths.append(len(seeds)) or (),
+            dgp, "_simulate_batch", lambda spec, seeds, start: widths.append(len(seeds))
         )
-        assert list(simulate_many(spec, [SeedSpec(0, r) for r in range(count)])) == []
+        batches = list(simulate_many(spec, [SeedSpec(0, r) for r in range(count)]))
+        assert len(batches) == len(widths)
         return widths
 
     @pytest.mark.parametrize("width", [1, 16, 32, 96])
     def test_batch_width_does_not_change_samples(self, monkeypatch, width):
         # 96 seeds run as 96 or 6 scalar batches, 3 array batches of 32, or
-        # one array batch, each cut into sub-blocks of 1, 7 or 16 or whole;
-        # each sample must match the row-wise oracle
+        # one array batch; each sample must match the row-wise oracle
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
         refs = oracle_samples(self.SPEC, seeds)
         batches = [width] * (96 // width)
-        for block in (1, 7, 16, width):
-            monkeypatch.setattr(dgp, "_block_width", lambda spec: block)
-            assert_blocks_match(simulate_many(self.SPEC, seeds), refs, batches, block)
+        assert_batches_match(simulate_many(self.SPEC, seeds), refs, batches)
         assert self.widths(monkeypatch, self.SPEC, 96) == batches
 
     def test_fewest_near_equal_batches(self, monkeypatch):
@@ -379,8 +374,8 @@ class TestBatches:
         # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 runs as
         # one batch, and DGP2c_ii at n=2000, of which 74 fit in the cap, as
         # the fewest near-equal batches that fit; all run on the array
-        # recursion, and their fit sub-blocks stay 16 and 4 wide
-        assert dgp.SIM_BATCH_BYTES == 5 * 2**20 and dgp.FIT_STACK_BYTES == 2 * 2**20
+        # recursion, and each is fitted whole, in its buffer
+        assert dgp.SIM_BATCH_BYTES == 5 * 2**20
         dgp1b = preset("DGP1b", 1000, alpha1=1.0)
         dgp2c = preset("DGP2c_ii", 2000)
         assert self.widths(monkeypatch, dgp1b, 250) == [250]
@@ -389,7 +384,6 @@ class TestBatches:
         assert 63 * replication_bytes(dgp2c) <= dgp.SIM_BATCH_BYTES
         assert 3 * (dgp.SIM_BATCH_BYTES // replication_bytes(dgp2c)) < 250  # 3 cannot
         assert 62 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
-        assert dgp._block_width(dgp1b) == 16 and dgp._block_width(dgp2c) == 4
 
     def test_overflow_in_a_later_batch_names_its_seed(self, monkeypatch):
         # the second 40-wide batch goes non-finite at its third replication
@@ -404,16 +398,16 @@ class TestBatches:
                 buf[7, 1, 2] = np.inf
 
         monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
-        monkeypatch.setattr(dgp, "_block_width", lambda spec: 16)
-        blocks = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
-        assert [len(next(blocks)[2]) for _ in range(3)] == [14, 13, 13]  # the first batch
+        samples = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
+        assert len(next(samples)[2]) == 40  # the first batch
         with pytest.raises(NumericOverflow, match="not finite") as info:
-            next(blocks)
+            next(samples)
         assert batches == [40, 40] and info.value.index == 42
 
     def test_each_batch_buffer_freed_before_the_next(self, monkeypatch):
-        # peak memory holds one batch buffer: by the time a batch checks its
-        # buffer, every earlier batch's buffer is gone
+        # peak memory holds one batch buffer: once a caller lets go of a
+        # batch, as the harness does, its buffer is gone by the time the
+        # next batch checks its own
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 24 * replication_bytes(self.SPEC))
         real = dgp._check_overflow
         buffers = []
@@ -424,8 +418,11 @@ class TestBatches:
             real(buf, start)
 
         monkeypatch.setattr(dgp, "_check_overflow", one_buffer_alive)
-        blocks = list(simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]))
-        assert sum(len(streams) for _, _, streams in blocks) == 96 and len(buffers) == 4
+        count = 0
+        for batch in simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]):
+            count += len(batch[2])
+            del batch
+        assert count == 96 and len(buffers) == 4
 
     def test_no_seeds_no_samples(self, monkeypatch):
         assert list(simulate_many(self.SPEC, [])) == []

@@ -199,7 +199,7 @@ class TestRunPlan:
         assert cell.replications == 150
 
     def test_degenerate_replications_excluded_and_counted(self, monkeypatch):
-        # the sub-block's batched statistics mark every fourth replication
+        # the batch's statistics mark every fourth replication
         real = ts.StatisticSetup.statistics
         seen = {"n": 0}
 
@@ -278,7 +278,7 @@ class TestBatches:
 
         def spy(seed):
             alive = sum(ref() is not None for ref in built)
-            assert alive <= batches[-1] + dgp._block_width(spec), alive
+            assert alive <= batches[-1], alive
             gen = Traced(real(seed).bit_generator)
             built.append(weakref.ref(gen))
             return gen
@@ -379,6 +379,25 @@ class TestAgainstOracle:
     def test_subset_restrictions_with_three_predictors(self, name, restrict, mode):
         self.assert_counts_match(oracle_plan(name, ORACLE_CONFIGS[mode], restrict))
 
+    @pytest.mark.parametrize("mode", sorted(ORACLE_CONFIGS))
+    def test_gated_cell_in_one_batch(self, mode):
+        # the benchmark's cell, DGP1b with alpha1=1 at n=1000: a chunk of 250
+        # replications is one 250-wide simulate batch and one fit
+        cfg = {
+            "fixed": StatisticConfig(m=50),
+            "growing": StatisticConfig.growing(mn_delta=1.0 / 3.0),
+        }[mode]
+        plan = ExperimentPlan(
+            dgp=PresetRef("DGP1b", alpha1=1.0, sigma_uv=-0.9),
+            n_grid=(1000,),
+            p0_grid=(0.40,),
+            beta_grid=(0.0, 0.01),
+            cfg_template=cfg,
+            replications=ex.CHUNK,
+            master_seed=17,
+        )
+        self.assert_counts_match(plan)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_counts(self, workers):
         cfg = ORACLE_CONFIGS["growing"]
@@ -442,12 +461,12 @@ class TestDecision:
 
 def test_chunk_peak_memory_is_bounded():
     # one chunk of a cell: the simulate batch, one draw block of M * n, and
-    # 1 MiB of slack for the sub-block's fit stacks and the batch's
-    # generators (measured at 0.76 MiB with numpy 2.4 on the DGP1b, n=1000,
-    # M=50 cell, whose one 4.58 MiB batch holds 250 generators and whose
-    # sub-blocks hold 16 replications; -0.03 MiB on the DGP2c_ii, n=2000,
-    # M=18 cell, whose 4.2 MiB batches leave room under the cap for its
-    # sub-blocks of 4, of p=3)
+    # 1 MiB of slack for the batch's generators, its (R, M, 4) sums and the
+    # few (R, M) arrays that score them; the fit runs in the batch's buffer
+    # (measured at 0.71 MiB with numpy 2.4 on the DGP1b, n=1000, M=50 cell,
+    # whose one 4.58 MiB batch holds 250 generators; -0.50 MiB on the
+    # DGP2c_ii, n=2000, M=18 cell, whose 4.2 MiB batches leave room under
+    # the cap)
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
         (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),

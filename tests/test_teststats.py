@@ -16,14 +16,14 @@ from splitwald import (
     chisq_sf,
     ChiSquareParams,
     draw_bernoulli_rows,
-    fit_residuals,
+    fit_in_place,
     power_curve_empirical,
     preset,
     run_test,
     simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
-from splitwald.regression import residual_variance
+from splitwald.regression import time_sum
 from splitwald.teststats import StatisticSetup
 
 from oracle import (
@@ -304,9 +304,12 @@ class TestRunTest:
 
 
 def residual_inputs(data, restriction):
-    """``(u0^2, u1^2, sigma2_1)`` of one dataset."""
-    u1, u0 = fit_residuals(data.y[None], data.X[None], restriction)
-    return u0[0] ** 2, u1[0] ** 2, float(residual_variance(u1[0]))
+    """``(u0^2, u1^2, sigma2_1)`` of one dataset, as ``run_test`` computes
+    them."""
+    u0, u1 = fit_in_place(np.column_stack([data.X, data.y])[:, :, None], restriction)
+    u0 *= u0
+    u1 *= u1
+    return u0[:, 0].copy(), u1[:, 0].copy(), float(time_sum(u1)[0] / data.n)
 
 
 def assert_matches_oracle(u0_sq, u1_sq, sigma2_1, b):
@@ -431,7 +434,8 @@ class TestBatchedClosedForm:
         # a constant predictand: every contrast is numerically constant
         y[bad] = 2.0
         restriction = Restriction.all_slopes(1)
-        setup = StatisticSetup.fit(y, X, restriction)
+        batch = np.concatenate([X, y[:, :, None]], axis=2).transpose(1, 2, 0).copy()
+        setup = StatisticSetup.fit(batch, restriction)
         draws = [draw_bernoulli_rows(n, 0.40, m, gen) for _ in range(width)]
         sums = np.stack([setup.sums(i, b) for i, b in enumerate(draws)])
         s_n, d_bar, s_d2, degenerate = setup.statistics(sums)

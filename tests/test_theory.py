@@ -196,6 +196,12 @@ class TestGrowthRule:
     def test_clamped_at_one(self):
         assert mn_rule(2, 0.7, 0.01) == 1
 
+    @pytest.mark.parametrize("n, p0, expected", [(400, 0.40, 10), (2400, 0.30, 20)])
+    def test_power_just_below_an_integer(self, n, p0, expected):
+        # (n / p0)^(1/3) is 10 and 20, which the float power misses by an ulp
+        assert (n / p0) ** (1.0 / 3.0) < expected
+        assert mn_rule(n, p0, 1.0 / 3.0) == expected
+
     def test_invalid_delta(self):
         for delta in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InvalidDelta):
