@@ -20,18 +20,16 @@ updates fewer than
 ``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
-bits. A call splits its seeds into the fewest near-equal batches whose
-buffer fits in ``SIM_BATCH_BYTES`` (5 MiB: one 250-replication chunk at
-p=1 and n <= 1000), the one memory rule of a Monte Carlo chunk, and yields
-each batch as views of its buffer, which a fit takes in place
-(:func:`~splitwald.regression.fit_in_place`). Only the caller holds a
-batch, so once it lets go, the buffer is freed before the next batch
-allocates its own. :func:`simulate` is the one-seed case.
+bits. The batch comes back as views of its buffer, which a fit takes in
+place (:func:`~splitwald.regression.fit_in_place`). The caller sizes it:
+:func:`batch_width` is the most replications whose buffer fits in
+``SIM_BATCH_BYTES`` (5 MiB: one 250-replication chunk at p=1 and
+n <= 1000), the one memory rule of a Monte Carlo chunk, and the harness
+cuts its chunks no wider. :func:`simulate` is the one-seed case.
 
 Each batch comes with its replications' generators, positioned just after
 their shocks, so that each replication's Bernoulli draws continue the same
-stream (stream layout 5, see :mod:`splitwald.randomization`). A batch
-builds the generators of its own seeds only.
+stream (stream layout 5, see :mod:`splitwald.randomization`).
 """
 
 import math
@@ -60,12 +58,13 @@ OVERFLOW_GUARD = 1e12
 # p=3) the arrays were faster on every preset.
 ARRAY_RECURSION_MIN_VALUES = 40
 
-# Largest shock buffer of one simulate_many batch: 250 * 1201 * 2 * 8 bytes
-# (4.58 MiB) holds a whole 250-replication chunk of DGP1b at n=1000. Each
-# step of the time loop costs about the same at any width, so one batch of
-# the chunk beats three: DGP1b batches of 84, 125 and 250 ran 3604, 3820
-# and 4156 reps/s (in-process plans, 2 cores, numpy 2.4), and the bench's
-# peak RSS rose 7.0%, from 46.0 to 49.2 MiB.
+# Largest shock buffer of one Monte Carlo chunk, which is one simulate_many
+# batch (batch_width): 250 * 1201 * 2 * 8 bytes (4.58 MiB) holds a whole
+# 250-replication chunk of DGP1b at n=1000. Each step of the time loop costs
+# about the same at any width, so one batch of the chunk beats three: DGP1b
+# batches of 84, 125 and 250 ran 3604, 3820 and 4156 reps/s (in-process
+# plans, 2 cores, numpy 2.4), and the bench's peak RSS rose 7.0%, from 46.0
+# to 49.2 MiB.
 SIM_BATCH_BYTES = 5 * 2**20
 
 # Shock covariance of (zeta, v1, v2, v3) for the three-predictor scenarios.
@@ -203,37 +202,29 @@ class DgpSpec:
         return 1.0 - self.c / float(self.n) ** self.alpha
 
 
+def batch_width(spec):
+    """Most replications of ``spec`` whose shock buffer fits in
+    ``SIM_BATCH_BYTES``, at least one."""
+    return max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
+
+
 def simulate_many(spec, seeds):
     """Generate one sample from ``spec`` per seed in the sequence ``seeds``,
-    in batches that a fit takes in place.
+    as one batch that a fit takes in place.
 
     The recursion starts from zero predictor and error states with the ARCH
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
-    The seeds run, in order, in the fewest near-equal batches whose buffer
-    fits in ``SIM_BATCH_BYTES``. A batch is ``(data, scratch, streams)``:
-    the time-major ``(n, p + 1, w)`` sample that
+    The batch is ``(data, scratch, streams)``: the time-major
+    ``(n, p + 1, len(seeds))`` sample that
     :func:`~splitwald.regression.fit_in_place` takes, whose ``data[t, :p, i]``
     holds replication ``i``'s lagged predictors ``x_{t-1}`` and
     ``data[t, p, i]`` its error ``u_t``; the buffer's burn-in rows, which the
     fit may overwrite; and each replication's generator, positioned after
     the shocks it drew. The first replication whose state is not finite or
     exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
-    position in ``seeds`` as ``index``, before its batch is produced.
-    """
-    widest = max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
-    count = -(-len(seeds) // widest)
-    lo = 0
-    for k in range(count):
-        hi = lo + len(seeds) // count + (k < len(seeds) % count)
-        yield _simulate_batch(spec, seeds[lo:hi], lo)  # held by the caller only
-        lo = hi
-
-
-def _simulate_batch(spec, seeds, start):
-    """One batch of :func:`simulate_many`, whose first seed is at position
-    ``start``.
+    position in ``seeds`` as ``index``.
 
     Seed ``r`` draws its shocks from its generator into slice ``r`` of one
     time-major buffer, whose row 0 is the zero start state, and the
@@ -255,18 +246,18 @@ def _simulate_batch(spec, seeds, start):
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
-    _check_overflow(buf, start)
-    rows = buf.reshape(-1, len(seeds))
+    _check_overflow(buf)
+    rows = buf.reshape((total + 1) * (spec.p + 1), len(seeds))
     first = spec.burn_in * (spec.p + 1) + 1
-    data = rows[first : first + spec.n * (spec.p + 1)].reshape(spec.n, spec.p + 1, -1)
-    return data, rows[:first], streams
+    data = rows[first : first + spec.n * (spec.p + 1)]
+    return data.reshape(spec.n, spec.p + 1, len(seeds)), rows[:first], streams
 
 
 def simulate(spec, seed):
     """One sample from ``spec`` on the stream at ``seed``, the one-seed case
     of :func:`simulate_many`: ``(y, X_lagged, stream)``, with the generator
     positioned after the shocks it drew."""
-    data, _, (stream,) = next(simulate_many(spec, [seed]))
+    data, _, (stream,) = simulate_many(spec, [seed])
     X_lagged = data[:, : spec.p, 0].copy()
     y = spec.mu + X_lagged @ spec.beta
     y += data[:, spec.p, 0]
@@ -342,9 +333,9 @@ def _recurse_rows(spec, buf):
         add(cur, step, cur)
 
 
-def _check_overflow(buf, start=0):
+def _check_overflow(buf):
     """Raise for the first replication whose state leaves the guard; its
-    ``index`` is ``start`` plus its slice of the buffer."""
+    ``index`` is its slice of the buffer."""
     hi = buf.max(axis=(0, 1))
     lo = buf.min(axis=(0, 1))
     bad = np.flatnonzero(~((lo >= -OVERFLOW_GUARD) & (hi <= OVERFLOW_GUARD)))
@@ -353,13 +344,13 @@ def _check_overflow(buf, start=0):
     r = int(bad[0])
     if not (np.isfinite(hi[r]) and np.isfinite(lo[r])):
         raise NumericOverflow(
-            "simulated state is not finite; parameters explosive?", index=start + r
+            "simulated state is not finite; parameters explosive?", index=r
         )
     peak = max(hi[r], -lo[r])
     raise NumericOverflow(
         f"simulated state reached {peak:.3e} (> {OVERFLOW_GUARD:.0e}); "
         "parameters look explosive",
-        index=start + r,
+        index=r,
     )
 
 

@@ -8,10 +8,11 @@ Bernoulli rows from the continuation. Rejections are aggregated by exact
 integer counting, so reports are bit-identical for a fixed master seed
 regardless of the worker count.
 
-A chunk runs as arrays from the fit to the decision. One ``simulate_many``
-call yields its replications in batches whose buffer stays within
-``dgp.SIM_BATCH_BYTES``, each with its replications' streams; each batch is
-fitted in its buffer and set up as one
+A chunk runs as arrays from the simulation to the decision. ``run_plan``
+splits each cell into the fewest near-equal chunks no wider than ``CHUNK``
+and than ``dgp.batch_width``, so that one ``simulate_many`` call gives a
+chunk's replications as one batch within ``dgp.SIM_BATCH_BYTES``, with its
+replications' streams. The batch is fitted in its buffer and set up as one
 (:class:`~splitwald.teststats.StatisticSetup`). Each replication then draws
 its Bernoulli rows from its stream and takes their ``StatisticSetup.sums``,
 and one ``StatisticSetup.statistics`` call scores the batch. The decision is
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._version import __version__
-from .dgp import DgpSpec, preset, simulate_many
+from .dgp import DgpSpec, batch_width, preset, simulate_many
 from .errors import (
     EmptyReport,
     NumericOverflow,
@@ -44,8 +45,9 @@ from .randomization import STREAM_LAYOUT, SeedSpec, draw_bernoulli_rows
 from .regression import Restriction
 from .teststats import StatisticConfig, StatisticSetup, reject_rule
 
-# Replications are dispatched in fixed-size chunks so that scheduling (and
-# hence the worker count) cannot influence any per-replication computation.
+# Widest chunk of replications, the unit of dispatch to the workers. A
+# cell's chunks depend on the cell only, so scheduling (and hence the worker
+# count) cannot influence any per-replication computation.
 CHUNK = 250
 
 # A cell is flagged when more than this fraction of replications degenerates.
@@ -197,49 +199,37 @@ class ExperimentReport:
         return any(cell.flagged for cell in self.cells)
 
 
-def _run_batch(spec, cfg, restriction, m, reject, data, scratch, streams):
-    """``(rejected, degenerate)`` over one simulate batch: fitted in its
-    buffer and set up as one, each replication's draws taken from its
-    stream, and scored together."""
+def _run_chunk(payload):
+    """Count rejections over one chunk of replications of one cell, as one
+    simulate batch: fitted in its buffer and set up as one, each
+    replication's draws taken from its stream, and scored together."""
+    spec, cfg, restriction, seed, cell_id, start, stop = payload
+    m = cfg.resolve_m(spec.n)
+    seeds = [seed.child(cell_id, r) for r in range(start, stop)]
+    try:
+        data, scratch, streams = simulate_many(spec, seeds)
+    except NumericOverflow as exc:
+        r = start + exc.index
+        raise NumericOverflow(
+            f"cell {cell_id}, replication {r}: {exc}", index=r
+        ) from None
     setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
     sums = np.empty((len(streams), m, 4))
     for i, stream in enumerate(streams):
         # one expression, so no draw block outlives its sums
         setup.sums(i, draw_bernoulli_rows(spec.n, cfg.p0, m, stream), out=sums[i])
     s_n, _, _, degenerate = setup.statistics(sums)
-    rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
-    return rejected, int(degenerate.sum())
-
-
-def _run_chunk(payload):
-    """Count rejections over one fixed chunk of replications of one cell,
-    in the batches that ``simulate_many`` yields."""
-    spec, cfg, restriction, seed, cell_id, start, stop = payload
-    m = cfg.resolve_m(spec.n)
     reject = reject_rule(cfg, m)
-    rejected = 0
-    degenerate = 0
-    seeds = [seed.child(cell_id, r) for r in range(start, stop)]
-    try:
-        for batch in simulate_many(spec, seeds):
-            counts = _run_batch(spec, cfg, restriction, m, reject, *batch)
-            del batch  # its buffer goes before the next batch allocates one
-            rejected += counts[0]
-            degenerate += counts[1]
-    except NumericOverflow as exc:
-        r = start + exc.index
-        raise NumericOverflow(
-            f"cell {cell_id}, replication {r}: {exc}", index=r
-        ) from None
-    return cell_id, rejected, degenerate
+    rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
+    return cell_id, rejected, int(degenerate.sum())
 
 
 def run_plan(plan, progress=None):
     """Execute every cell of the plan and aggregate rejection rates.
 
     ``progress`` is an optional callable receiving ``(done, total)`` chunk
-    counts. Output is independent of the worker count: replications are
-    dispatched in fixed chunks and merged by exact integer counting.
+    counts. Output is independent of the worker count: a cell's chunks
+    depend on the cell only, and are merged by exact integer counting.
     """
     started = time.perf_counter()
     seed = SeedSpec(plan.master_seed, plan.seed_stream)
@@ -249,8 +239,9 @@ def run_plan(plan, progress=None):
     for cid, n, p0, beta in cells:
         spec, cfg, restriction = plan.build_cell(n, p0, beta)
         specs.append(spec)
-        for start in range(0, plan.replications, CHUNK):
-            stop = min(start + CHUNK, plan.replications)
+        count = -(-plan.replications // min(CHUNK, batch_width(spec)))
+        bounds = [plan.replications * k // count for k in range(count + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
             tasks.append((spec, cfg, restriction, seed, cid, start, stop))
     counts = [[0, 0] for _ in cells]  # rejected, degenerate; indexed by cell id
 
@@ -452,4 +443,6 @@ def load_plan(path, workers=None):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise PlanParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise PlanParseError(f"{path}: values nested too deeply") from None
     return plan_from_dict(doc, workers=workers)

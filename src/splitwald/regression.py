@@ -193,7 +193,12 @@ def _check_size(n, p):
 
 def time_sum(a):
     """Sums over the strided time axis 0, added in time order for each
-    replication at any batch width (``sum`` adds a lone column pairwise)."""
+    replication at any batch width (``sum`` adds a lone column pairwise).
+
+    Time order holds only while the time axis is strided, as in every batch
+    view that :func:`fit_in_place` gives, width 1 included. A contiguous
+    ``(n, 1)`` array is added in another order, so its last bits can differ
+    from the same replication's inside a batch."""
     return np.einsum("t...->...", a)
 
 

@@ -170,6 +170,12 @@ class StatisticSetup:
     and ``c`` over the squared residuals and computes their totals and the
     sum and square sum of ``c`` on the whole batch at once.
 
+    Its sums over time take time order (:func:`~splitwald.regression.time_sum`)
+    only when the inputs' time axis is strided, as in the batch views that
+    :meth:`fit` passes from :func:`fit_in_place`. Contiguous ``(n, 1)``
+    inputs sum in another order, so a direct caller can get other last bits
+    than the same replication's set-up inside a batch.
+
     The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
     ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
     mean of ``d`` up to a split term of order ``s_d / sqrt(n)``, so the

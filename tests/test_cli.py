@@ -177,6 +177,16 @@ class TestSimulateCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:PlanParseError:")
 
+    def test_deeply_nested_plan_exit_code(self, tmp_path, capsys):
+        # json's decoder recurses once per level and gives up before 100,000
+        plan = tmp_path / "deep.plan"
+        plan.write_text('{"dgp": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = run_cli(["simulate", plan, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:PlanParseError:")
+        assert "nested too deeply" in lines[0]
+
     def test_bundled_plan_parses(self, tmp_path):
         from importlib import resources
 

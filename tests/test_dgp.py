@@ -1,4 +1,3 @@
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -53,24 +52,20 @@ def assert_same_sample(y, X, stream, ref, next_words):
     assert np.array_equal(stream.bit_generator.random_raw(2), next_words)
 
 
-def assert_batches_match(batches, refs, widths):
-    """Each batch comes with the width of ``widths``, in order, as views of
-    one buffer: a time-major sample whose predictors and errors equal the
-    oracle's row by row, and the burn-in rows before it as the fit's
-    scratch."""
-    refs = iter(refs)
-    for width in widths:
-        data, scratch, streams = next(batches)
-        n, k, w = data.shape
-        p = k - 1
-        assert w == width and len(streams) == w and data.flags.c_contiguous
-        assert scratch.shape[1] == w and scratch.base is data.base
-        assert not np.shares_memory(scratch, data)
-        for i, (ref, next_words) in zip(range(w), refs):
-            assert np.array_equal(data[:, :p, i], ref.X_lagged)
-            assert np.array_equal(data[:, p, i], ref.u)
-            assert np.array_equal(streams[i].bit_generator.random_raw(2), next_words)
-    assert next(batches, None) is None and next(refs, None) is None
+def assert_batch_matches(batch, refs):
+    """One batch, as views of one buffer: a time-major sample whose
+    predictors and errors equal the oracle's row by row, and the burn-in
+    rows before it as the fit's scratch."""
+    data, scratch, streams = batch
+    n, k, w = data.shape
+    p = k - 1
+    assert w == len(refs) == len(streams) and data.flags.c_contiguous
+    assert scratch.shape[1] == w and scratch.base is data.base
+    assert not np.shares_memory(scratch, data)
+    for i, (ref, next_words) in enumerate(refs):
+        assert np.array_equal(data[:, :p, i], ref.X_lagged)
+        assert np.array_equal(data[:, p, i], ref.u)
+        assert np.array_equal(streams[i].bit_generator.random_raw(2), next_words)
 
 
 class TestCholesky:
@@ -280,7 +275,7 @@ class TestSimulate:
         for width in (1, narrowest - 1, narrowest, 83):
             seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
             refs = oracle_samples(spec, seeds)
-            assert_batches_match(simulate_many(spec, seeds), refs, [width])
+            assert_batch_matches(simulate_many(spec, seeds), refs)
 
     @pytest.mark.parametrize(
         "name, width, arrays",
@@ -296,7 +291,7 @@ class TestSimulate:
             monkeypatch.setattr(
                 dgp, path, lambda *a, path=path, real=real: paths.append(path) or real(*a)
             )
-        list(simulate_many(spec, [SeedSpec(14, r) for r in range(width)]))
+        simulate_many(spec, [SeedSpec(14, r) for r in range(width)])
         assert set(paths) == {"_recurse_rows" if arrays else "_recurse_series"}
 
     def test_array_path_overflow_guard(self):
@@ -309,7 +304,7 @@ class TestSimulate:
                 omega=np.eye(2), burn_in=0,
             )  # fmt: skip
             with pytest.raises(NumericOverflow, match=message) as info:
-                list(simulate_many(spec, seeds))
+                simulate_many(spec, seeds)
             assert info.value.index == 0
 
     def test_overflow_names_the_first_bad_replication(self):
@@ -337,57 +332,37 @@ class TestSimulate:
 
 
 class TestBatches:
-    """simulate_many runs its seeds in batches capped by SIM_BATCH_BYTES."""
+    """simulate_many returns one batch for exactly the seeds it gets; its
+    caller keeps the batch within SIM_BATCH_BYTES by batch_width."""
 
     SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
 
-    @staticmethod
-    def widths(monkeypatch, spec, count):
-        """Widths of the batches simulate_many makes for ``count`` seeds."""
-        widths = []
-        monkeypatch.setattr(
-            dgp, "_simulate_batch", lambda spec, seeds, start: widths.append(len(seeds))
-        )
-        batches = list(simulate_many(spec, [SeedSpec(0, r) for r in range(count)]))
-        assert len(batches) == len(widths)
-        return widths
-
     @pytest.mark.parametrize("width", [1, 16, 32, 96])
-    def test_batch_width_does_not_change_samples(self, monkeypatch, width):
+    def test_batch_width_does_not_change_samples(self, width):
         # 96 seeds run as 96 or 6 scalar batches, 3 array batches of 32, or
         # one array batch; each sample must match the row-wise oracle
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
         seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
         refs = oracle_samples(self.SPEC, seeds)
-        batches = [width] * (96 // width)
-        assert_batches_match(simulate_many(self.SPEC, seeds), refs, batches)
-        assert self.widths(monkeypatch, self.SPEC, 96) == batches
+        for lo in range(0, 96, width):
+            batch = simulate_many(self.SPEC, seeds[lo : lo + width])
+            assert_batch_matches(batch, refs[lo : lo + width])
 
-    def test_fewest_near_equal_batches(self, monkeypatch):
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 109 * replication_bytes(self.SPEC))
-        assert self.widths(monkeypatch, self.SPEC, 250) == [84, 83, 83]
-        assert self.widths(monkeypatch, self.SPEC, 109) == [109]
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 1)
-        assert self.widths(monkeypatch, self.SPEC, 3) == [1, 1, 1]
-
-    def test_default_caps(self, monkeypatch):
-        # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 runs as
-        # one batch, and DGP2c_ii at n=2000, of which 74 fit in the cap, as
-        # the fewest near-equal batches that fit; all run on the array
-        # recursion, and each is fitted whole, in its buffer
+    def test_default_caps(self):
+        # a Monte Carlo chunk of 250 replications: DGP1b at n=1000 fits in
+        # one batch, and DGP2c_ii at n=2000 fits 74, on the array recursion
         assert dgp.SIM_BATCH_BYTES == 5 * 2**20
         dgp1b = preset("DGP1b", 1000, alpha1=1.0)
         dgp2c = preset("DGP2c_ii", 2000)
-        assert self.widths(monkeypatch, dgp1b, 250) == [250]
-        assert 250 * replication_bytes(dgp1b) <= dgp.SIM_BATCH_BYTES
-        assert self.widths(monkeypatch, dgp2c, 250) == [63, 63, 62, 62]
-        assert 63 * replication_bytes(dgp2c) <= dgp.SIM_BATCH_BYTES
-        assert 3 * (dgp.SIM_BATCH_BYTES // replication_bytes(dgp2c)) < 250  # 3 cannot
-        assert 62 * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
+        for spec, width in ((dgp1b, 272), (dgp2c, 74)):
+            assert dgp.batch_width(spec) == width
+            size = replication_bytes(spec)
+            assert width * size <= dgp.SIM_BATCH_BYTES < (width + 1) * size
+        assert 3 * dgp.batch_width(dgp2c) < 250  # a chunk of 250 cannot fit
+        assert dgp.batch_width(dgp2c) * (dgp2c.p + 1) >= ARRAY_RECURSION_MIN_VALUES
 
     def test_overflow_in_a_later_batch_names_its_seed(self, monkeypatch):
-        # the second 40-wide batch goes non-finite at its third replication
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 40 * replication_bytes(self.SPEC))
+        # the second 40-seed batch goes non-finite at its third replication,
+        # which it names by its position in the seeds it was given
         real = dgp._recurse_rows
         batches = []
 
@@ -398,35 +373,16 @@ class TestBatches:
                 buf[7, 1, 2] = np.inf
 
         monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
-        samples = simulate_many(self.SPEC, [SeedSpec(22, r) for r in range(80)])
-        assert len(next(samples)[2]) == 40  # the first batch
+        seeds = [SeedSpec(22, r) for r in range(80)]
+        assert len(simulate_many(self.SPEC, seeds[:40])[2]) == 40
         with pytest.raises(NumericOverflow, match="not finite") as info:
-            next(samples)
-        assert batches == [40, 40] and info.value.index == 42
+            simulate_many(self.SPEC, seeds[40:])
+        assert batches == [40, 40] and info.value.index == 2
 
-    def test_each_batch_buffer_freed_before_the_next(self, monkeypatch):
-        # peak memory holds one batch buffer: once a caller lets go of a
-        # batch, as the harness does, its buffer is gone by the time the
-        # next batch checks its own
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 24 * replication_bytes(self.SPEC))
-        real = dgp._check_overflow
-        buffers = []
-
-        def one_buffer_alive(buf, start):
-            assert all(ref() is None for ref in buffers)
-            buffers.append(weakref.ref(buf))
-            real(buf, start)
-
-        monkeypatch.setattr(dgp, "_check_overflow", one_buffer_alive)
-        count = 0
-        for batch in simulate_many(self.SPEC, [SeedSpec(23, r) for r in range(96)]):
-            count += len(batch[2])
-            del batch
-        assert count == 96 and len(buffers) == 4
-
-    def test_no_seeds_no_samples(self, monkeypatch):
-        assert list(simulate_many(self.SPEC, [])) == []
-        assert self.widths(monkeypatch, self.SPEC, 0) == []
+    def test_no_seeds_no_samples(self):
+        data, scratch, streams = simulate_many(self.SPEC, [])
+        assert data.shape == (120, 2, 0) and scratch.shape[1] == 0
+        assert streams == []
 
 
 class TestPresets:

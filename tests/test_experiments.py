@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,9 +220,106 @@ class TestRunPlan:
         assert report.flagged
 
 
+def planned_chunks(monkeypatch, plan):
+    """The ``(cell, start, stop)`` of each chunk that run_plan dispatches, in
+    order, with ``progress``'s calls; no chunk runs."""
+    chunks, calls = [], []
+
+    def record(task):
+        chunks.append(task[4:])
+        return task[4], 0, 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "_run_chunk", record)
+        run_plan(plan, progress=lambda done, total: calls.append((done, total)))
+    return chunks, calls
+
+
+def plan_of(name, n, replications, workers=1, **kwargs):
+    return ExperimentPlan(
+        dgp=PresetRef(name, **kwargs),
+        n_grid=(n,),
+        p0_grid=(0.40,),
+        beta_grid=(0.0, 0.05),
+        cfg_template=StatisticConfig(m=5),
+        replications=replications,
+        master_seed=2303,
+        workers=workers,
+    )
+
+
+class TestChunks:
+    """run_plan splits each cell into the fewest near-equal chunks no wider
+    than CHUNK and dgp.batch_width, so that a chunk is one simulate batch."""
+
+    @pytest.mark.parametrize(
+        "name, n, replications, kwargs, widths",
+        [
+            ("DGP1b", 1000, 500, {"alpha1": 1.0}, [250, 250]),  # the gated cell
+            ("DGP2a", 500, 1010, {}, [202] * 5),  # 233 fit in a batch
+            ("DGP2c_ii", 2000, 500, {}, [71, 71, 72, 71, 72, 71, 72]),  # 74 fit
+            ("DGP1a", 20000, 120, {"alpha1": 1.0}, [15] * 8),  # 16 fit
+            ("DGP1a", 120, 251, {"alpha1": 0.0}, [125, 126]),
+        ],
+    )
+    def test_near_equal_and_no_wider_than_a_batch(
+        self, monkeypatch, name, n, replications, kwargs, widths
+    ):
+        plan = plan_of(name, n, replications, **kwargs)
+        cap = min(ex.CHUNK, dgp.batch_width(plan.build_cell(n, 0.40, 0.0)[0]))
+        chunks, calls = planned_chunks(monkeypatch, plan)
+        for cell in (0, 1):
+            bounds = [(lo, hi) for c, lo, hi in chunks if c == cell]
+            assert [hi - lo for lo, hi in bounds] == widths
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert max(widths) <= cap and max(widths) - min(widths) <= 1
+            assert len(widths) == -(-replications // cap)  # the fewest
+        assert calls == [(i, len(chunks)) for i in range(1, len(chunks) + 1)]
+
+    def test_fewest_near_equal_chunks(self, monkeypatch):
+        plan = plan_of("DGP1c", 120, 250, alpha1=0.95, sigma_uv=-0.5)
+        spec = plan.build_cell(120, 0.40, 0.0)[0]
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 109 * replication_bytes(spec))
+        chunks, _ = planned_chunks(monkeypatch, plan)
+        assert [hi - lo for c, lo, hi in chunks if c == 0] == [83, 83, 84]
+        chunks, _ = planned_chunks(monkeypatch, replace(plan, replications=109))
+        assert [hi - lo for c, lo, hi in chunks if c == 0] == [109]
+        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 1)
+        chunks, _ = planned_chunks(monkeypatch, replace(plan, replications=100))
+        assert [hi - lo for c, lo, hi in chunks if c == 0] == [1] * 100
+
+    def test_each_chunk_buffer_freed_before_the_next(self, monkeypatch):
+        # peak memory holds one batch buffer: a chunk returns its counts
+        # only, so its buffer is gone by the time the next chunk checks its own
+        real = dgp._check_overflow
+        buffers = []
+
+        def one_buffer_alive(buf):
+            assert all(ref() is None for ref in buffers)
+            buffers.append(weakref.ref(buf))
+            real(buf)
+
+        monkeypatch.setattr(dgp, "_check_overflow", one_buffer_alive)
+        monkeypatch.setattr(ex, "CHUNK", 24)
+        run_plan(tiny_plan(replications=120))
+        assert len(buffers) == 5
+
+
+# The CSV report of plan_of("DGP2a", 500, 1010), whose cells run as five
+# chunks of 202. Cut into four batches of 250 and a 10-wide float-path tail,
+# or into 125-wide batches, the plan gives the same bytes: each replication
+# owns its stream (layout 5) and every sum over time runs in time order.
+REPORT_SHA256 = "a385f51193af1b7bb89e1758662a9207c532ecbb5ce5fd9ac45367866ecf75e0"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_bytes_are_pinned(workers):
+    report = run_plan(plan_of("DGP2a", 500, 1010, workers=workers))
+    assert hashlib.sha256(export_report(report, "csv")).hexdigest() == REPORT_SHA256
+
+
 class TestBatches:
-    """A chunk simulates its replications in one simulate_many call, whose
-    batches are capped by dgp.SIM_BATCH_BYTES."""
+    """A chunk simulates its replications as one simulate_many batch."""
 
     SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
     CFG = StatisticConfig(m=4)
@@ -234,12 +333,11 @@ class TestBatches:
         )
 
     @pytest.mark.parametrize("width", [1, 16, 32, 96])
-    def test_batch_width_does_not_change_counts(self, monkeypatch, width):
-        # 96 replications run as 96 or 6 scalar batches, 3 array batches of
-        # 32, or one array batch; each must match the one-at-a-time oracle,
-        # which simulates from the replication's generator and then draws
-        # from that same generator
-        monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", width * replication_bytes(self.SPEC))
+    def test_batch_width_does_not_change_counts(self, width):
+        # 96 replications run as 96 or 6 scalar chunks, 3 array chunks of
+        # 32, or one array chunk; their counts must add up to those of the
+        # one-at-a-time oracle, which simulates from the replication's
+        # generator and then draws from that same generator
         rejected = degenerate = 0
         for r in range(250, 346):
             gen = self.SEED.child(3, r).generator()
@@ -248,50 +346,44 @@ class TestBatches:
                 degenerate += 1
             else:
                 rejected += decision
-        assert self.chunk(250, 346) == (3, rejected, degenerate)
-
-    @staticmethod
-    def batch_widths(monkeypatch):
-        """Widths of the simulate batches, appended as each batch starts."""
-        real = dgp._simulate_batch
-        widths = []
-
-        def batch(spec, seeds, start):
-            widths.append(len(seeds))
-            return real(spec, seeds, start)
-
-        monkeypatch.setattr(dgp, "_simulate_batch", batch)
-        return widths
+        counts = [self.chunk(lo, lo + width) for lo in range(250, 346, width)]
+        assert {cell for cell, _, _ in counts} == {3}
+        assert sum(c[1] for c in counts) == rejected
+        assert sum(c[2] for c in counts) == degenerate
 
     def test_one_generator_per_replication_alive_only_with_its_batch(self, monkeypatch):
         # every replication builds one generator, for its shocks and draws
-        # alike; a simulate batch builds its own only, so a chunk never holds
-        # much more than one batch's generators
-        spec = preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9)
-        cfg = StatisticConfig(p0=0.40, m=50)
+        # alike; a chunk builds its own only, and none outlives its chunk
+        plan = ExperimentPlan(
+            dgp=PresetRef("DGP1b", alpha1=1.0, sigma_uv=-0.9),
+            n_grid=(1000,),
+            p0_grid=(0.40,),
+            cfg_template=StatisticConfig(m=50),
+            replications=2 * ex.CHUNK,
+            master_seed=5,
+        )
         real = SeedSpec.generator
         built = []
-        batches = self.batch_widths(monkeypatch)
+        alive_at_start = []
 
         class Traced(np.random.Generator):  # a generator that takes weak references
             pass
 
         def spy(seed):
-            alive = sum(ref() is not None for ref in built)
-            assert alive <= batches[-1], alive
+            if len(built) % ex.CHUNK == 0:
+                alive_at_start.append(sum(ref() is not None for ref in built))
             gen = Traced(real(seed).bit_generator)
             built.append(weakref.ref(gen))
             return gen
 
         monkeypatch.setattr(SeedSpec, "generator", spy)
-        payload = (spec, cfg, Restriction.all_slopes(1), SeedSpec(5), 0, 0, ex.CHUNK)
-        ex._run_chunk(payload)
-        assert len(built) == ex.CHUNK == 250 and sum(batches) == 250
+        run_plan(plan)
+        assert len(built) == 500 and alive_at_start == [0, 0]
         assert all(ref() is None for ref in built)
 
     def test_whole_chunk_batch_matches_the_former_cap(self, monkeypatch):
-        # one 250-wide batch of DGP1b at n=1000 gives the bytes of the three
-        # batches that the former 2 MiB cap made
+        # one 250-wide chunk of DGP1b at n=1000 gives the bytes of the three
+        # chunks that a 2 MiB cap makes
         plan = ExperimentPlan(
             dgp=PresetRef("DGP1b", alpha1=1.0, sigma_uv=-0.9),
             n_grid=(1000,),
@@ -300,25 +392,47 @@ class TestBatches:
             replications=250,
             master_seed=2025,
         )
-        batches = self.batch_widths(monkeypatch)
+        real = ex.simulate_many
+        widths = []
+
+        def batch(spec, seeds):
+            widths.append(len(seeds))
+            return real(spec, seeds)
+
+        monkeypatch.setattr(ex, "simulate_many", batch)
         wide = export_report(run_plan(plan), "csv")
         monkeypatch.setattr(dgp, "SIM_BATCH_BYTES", 2 * 2**20)
         assert export_report(run_plan(plan), "csv") == wide
-        assert batches == [250, 84, 83, 83]
+        assert widths == [250, 83, 83, 84]
 
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
         # simulate_many names the failing seed by its position in the chunk's
-        # seeds (test_dgp checks that across batches); the chunk adds its start
-        real = ex.simulate_many
-
+        # seeds; the chunk adds its start
         def overflow_at_42(spec, seeds):
-            yield from real(spec, seeds[:42])
             raise NumericOverflow("forced", index=42)
 
         monkeypatch.setattr(ex, "simulate_many", overflow_at_42)
         with pytest.raises(NumericOverflow, match=r"^cell 3, replication 292: forced$") as info:
             self.chunk(250, 330)
         assert info.value.index == 292
+
+    def test_overflow_in_a_later_chunk_names_its_replication(self, monkeypatch):
+        # the second chunk's batch goes non-finite at its third replication
+        real = dgp._recurse_rows
+        batches = []
+
+        def second_batch_blows_up(spec, buf):
+            real(spec, buf)
+            batches.append(buf.shape[2])
+            if len(batches) == 2:
+                buf[7, 1, 2] = np.inf
+
+        monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
+        plan = tiny_plan(replications=500)
+        pattern = r"^cell 0, replication 252: simulated state is not finite"
+        with pytest.raises(NumericOverflow, match=pattern) as info:
+            run_plan(plan)
+        assert batches == [250, 250] and info.value.index == 252
 
     def test_overflow_names_the_replication(self):
         # the explosive spec of test_dgp's overflow guard, through a plan
@@ -459,21 +573,30 @@ class TestDecision:
             assert rule(float(s)) == (min(2.0 * normal_sf(abs(q)), 1.0) < cfg.alpha)
 
 
-def test_chunk_peak_memory_is_bounded():
-    # one chunk of a cell: the simulate batch, one draw block of M * n, and
-    # 1 MiB of slack for the batch's generators, its (R, M, 4) sums and the
-    # few (R, M) arrays that score them; the fit runs in the batch's buffer
-    # (measured at 0.71 MiB with numpy 2.4 on the DGP1b, n=1000, M=50 cell,
-    # whose one 4.58 MiB batch holds 250 generators; -0.50 MiB on the
-    # DGP2c_ii, n=2000, M=18 cell, whose 4.2 MiB batches leave room under
-    # the cap)
+def test_chunk_peak_memory_is_bounded(monkeypatch):
+    # the widest chunk of a 500-replication cell, as run_plan splits it: the
+    # simulate batch, one draw block of M * n, and 1 MiB of slack for the
+    # batch's generators, its (R, M, 4) sums and the few (R, M) arrays that
+    # score them; the fit runs in the batch's buffer (measured at 0.64 MiB
+    # with numpy 2.4 on the DGP1b, n=1000, M=50 cell, whose 250-wide chunk
+    # is one 4.58 MiB batch; 0.09 MiB on the DGP2c_ii, n=2000, M=18 cell,
+    # whose widest chunk, 72 replications, is one 4.84 MiB batch)
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
         (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),
     ]
     for spec, cfg in cases:
-        restriction = Restriction.all_slopes(spec.p)
-        payload = (spec, cfg, restriction, SeedSpec(5), 0, 0, ex.CHUNK)
+        plan = ExperimentPlan(
+            dgp=spec,
+            n_grid=(spec.n,),
+            p0_grid=(cfg.p0,),
+            cfg_template=cfg,
+            replications=2 * ex.CHUNK,
+            master_seed=5,
+        )
+        chunks, _ = planned_chunks(monkeypatch, plan)
+        _, start, stop = max(chunks, key=lambda chunk: chunk[2] - chunk[1])
+        payload = (spec, cfg, Restriction.all_slopes(spec.p), SeedSpec(5), 0, start, stop)
         ex._run_chunk(payload[:-2] + (0, 20))  # first-call allocations
         tracemalloc.start()
         try:

@@ -273,7 +273,7 @@ class TestAgainstQrOracle:
         samples = [simulate(spec, seed)[:2] for seed in seeds]
         y, X = (np.array(stack) for stack in zip(*samples))
         u1_qr, u0_qr = fit_residuals(y, X, restriction)
-        (data, scratch, _), = simulate_many(spec, seeds)
+        data, scratch, _ = simulate_many(spec, seeds)
         u0, u1 = fit_in_place(data, restriction, spec.beta, scratch)
         assert relative_gap(u1, u1_qr) <= 1e-12
         assert relative_gap(u0, u0_qr) <= 1e-12
