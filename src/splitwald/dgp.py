@@ -13,10 +13,11 @@ and jointly Gaussian shocks ``(zeta_t, v_t) ~ N(0, omega)``. The named
 presets reproduce the benchmark scenarios used throughout the experiment
 suite.
 
-:func:`simulate_many` simulates a batch: each seed builds the generator of
-its stream and draws its shocks into one time-major buffer, and the
-recursions step over time on every replication at once. A batch that
-updates fewer than
+:func:`simulate_many` simulates a batch: given the start states of its
+replications' streams (:meth:`~splitwald.randomization.SeedSpec.child_states`)
+and one generator, it puts the generator at each state in turn and draws
+that replication's shocks into one time-major buffer, and the recursions
+step over time on every replication at once. A batch that updates fewer than
 ``ARRAY_RECURSION_MIN_VALUES`` (40) state values per step, width times
 ``p + 1``, runs them series by series on Python floats instead, since each
 numpy step costs about as much at width 1 as at width 20. Both give the same
@@ -25,10 +26,11 @@ place (:func:`~splitwald.regression.fit_in_place`). The caller sizes it:
 :func:`batch_width` is the most replications whose buffer fits in
 ``SIM_BATCH_BYTES`` (5 MiB: one 250-replication chunk at p=1 and
 n <= 1000), the one memory rule of a Monte Carlo chunk, and the harness
-cuts its chunks no wider. :func:`simulate` is the one-seed case.
+cuts its chunks no wider. :func:`simulate` is the one-seed case, on the
+generator that numpy's ``SeedSequence`` seeds.
 
-Each batch comes with its replications' generators, positioned just after
-their shocks, so that each replication's Bernoulli draws continue the same
+Each batch comes with its replications' stream states just after their
+shocks, so that each replication's Bernoulli draws continue the same
 stream (stream layout 5, see :mod:`splitwald.randomization`).
 """
 
@@ -44,6 +46,7 @@ from .errors import (
     check_integer,
     check_real,
 )
+from .randomization import get_state, set_state
 
 OVERFLOW_GUARD = 1e12
 
@@ -208,56 +211,62 @@ def batch_width(spec):
     return max(1, SIM_BATCH_BYTES // ((spec.burn_in + spec.n + 1) * (spec.p + 1) * 8))
 
 
-def simulate_many(spec, seeds):
-    """Generate one sample from ``spec`` per seed in the sequence ``seeds``,
-    as one batch that a fit takes in place.
+def simulate_many(spec, states, gen):
+    """Generate one sample from ``spec`` per stream state in the ``(R, 4)``
+    uint64 array ``states``, drawn through the SFC64 generator ``gen``, as
+    one batch that a fit takes in place.
 
     The recursion starts from zero predictor and error states with the ARCH
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
-    The batch is ``(data, scratch, streams)``: the time-major
-    ``(n, p + 1, len(seeds))`` sample that
+    The batch is ``(data, scratch, after)``: the time-major
+    ``(n, p + 1, R)`` sample that
     :func:`~splitwald.regression.fit_in_place` takes, whose ``data[t, :p, i]``
     holds replication ``i``'s lagged predictors ``x_{t-1}`` and
     ``data[t, p, i]`` its error ``u_t``; the buffer's burn-in rows, which the
-    fit may overwrite; and each replication's generator, positioned after
-    the shocks it drew. The first replication whose state is not finite or
-    exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its
-    position in ``seeds`` as ``index``.
+    fit may overwrite; and the ``(R, 4)`` states of the replications' streams
+    after the shocks they drew, where ``gen`` is left at the last one. The
+    first replication whose state is not finite or exceeds
+    ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its row in
+    ``states`` as ``index``.
 
-    Seed ``r`` draws its shocks from its generator into slice ``r`` of one
-    time-major buffer, whose row 0 is the zero start state, and the
+    Replication ``r`` draws its shocks from its stream into slice ``r`` of
+    one time-major buffer, whose row 0 is the zero start state, and the
     recursions run in place on it; both recursion paths apply the same
     operations in the same order. Each time step's ``p + 1`` rows follow the
     last, so the predictors of a step and the error of the next are ``p + 1``
     consecutive rows: the sample starts at the last burn-in predictors.
     """
     total = spec.burn_in + spec.n
-    buf = np.empty((total + 1, spec.p + 1, len(seeds)))
+    buf = np.empty((total + 1, spec.p + 1, len(states)))
     buf[0] = 0.0
-    streams = [seed.generator() for seed in seeds]
-    for r, stream in enumerate(streams):
-        shocks = stream.standard_normal((total, spec.p + 1))
+    after = np.empty_like(states)
+    for r, state in enumerate(states):
+        set_state(gen, state)
+        shocks = gen.standard_normal((total, spec.p + 1))
         buf[1:, :, r] = shocks @ spec._lower.T
-    if len(seeds) * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
-        for r in range(len(seeds)):
+        after[r] = get_state(gen)
+    if len(states) * (spec.p + 1) < ARRAY_RECURSION_MIN_VALUES:
+        for r in range(len(states)):
             _recurse_series(spec, buf[:, :, r])
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             _recurse_rows(spec, buf)
     _check_overflow(buf)
-    rows = buf.reshape((total + 1) * (spec.p + 1), len(seeds))
+    rows = buf.reshape((total + 1) * (spec.p + 1), len(states))
     first = spec.burn_in * (spec.p + 1) + 1
     data = rows[first : first + spec.n * (spec.p + 1)]
-    return data.reshape(spec.n, spec.p + 1, len(seeds)), rows[:first], streams
+    return data.reshape(spec.n, spec.p + 1, len(states)), rows[:first], after
 
 
 def simulate(spec, seed):
     """One sample from ``spec`` on the stream at ``seed``, the one-seed case
-    of :func:`simulate_many`: ``(y, X_lagged, stream)``, with the generator
-    positioned after the shocks it drew."""
-    data, _, (stream,) = simulate_many(spec, [seed])
+    of :func:`simulate_many` on the generator ``seed.generator()``:
+    ``(y, X_lagged, stream)``, with the generator positioned after the
+    shocks it drew."""
+    stream = seed.generator()
+    data, _, _ = simulate_many(spec, get_state(stream)[None], stream)
     X_lagged = data[:, : spec.p, 0].copy()
     y = spec.mu + X_lagged @ spec.beta
     y += data[:, spec.p, 0]

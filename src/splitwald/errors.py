@@ -7,20 +7,25 @@ a machine-readable code via ``type(exc).__name__``.
 
 import math
 import numbers
+import reprlib
 
 
 def check_integer(name, value, low):
     """``value`` as an ``int`` of at least ``low``.
 
     Python and numpy integers pass; ``bool``, floats and strings raise
-    ``ValueError`` naming ``name``, so no count is silently rounded.
+    ``ValueError`` naming ``name``, so no count is silently rounded. The
+    message shows the value in brief (``reprlib``), so a long or deeply
+    nested value gives a short line.
     """
     # a plain int skips the slow ABC check; bool is not type int
     integral = type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
     )
     if not integral or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValueError(
+            f"{name} must be an integer >= {low}, got {reprlib.repr(value)}"
+        )
     return int(value)
 
 
@@ -29,7 +34,8 @@ def check_real(name, value):
 
     Python and numpy integers and floats pass; ``bool``, strings and
     non-finite values raise ``ValueError`` naming ``name``, so no flag or
-    text is silently read as a number.
+    text is silently read as a number. The message shows the value in
+    brief, as :func:`check_integer`'s does.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -37,7 +43,9 @@ def check_real(name, value):
     except OverflowError:  # an integer beyond the float range
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise ValueError(
+            f"{name} must be a finite real number, got {reprlib.repr(value)}"
+        )
     return float(value)
 
 

@@ -11,11 +11,17 @@ regardless of the worker count.
 A chunk runs as arrays from the simulation to the decision. ``run_plan``
 splits each cell into the fewest near-equal chunks no wider than ``CHUNK``
 and than ``dgp.batch_width``, so that one ``simulate_many`` call gives a
-chunk's replications as one batch within ``dgp.SIM_BATCH_BYTES``, with its
-replications' streams. The batch is fitted in its buffer and set up as one
-(:class:`~splitwald.teststats.StatisticSetup`). Each replication then draws
-its Bernoulli rows from its stream and takes their ``StatisticSetup.sums``,
-and one ``StatisticSetup.statistics`` call scores the batch. The decision is
+chunk's replications as one batch within ``dgp.SIM_BATCH_BYTES``. A chunk
+derives its replications' stream start states in one array pass
+(:meth:`~splitwald.randomization.SeedSpec.child_states`) and steps every
+stream on one generator: ``simulate_many`` draws the shocks and returns
+each stream's state after them. The batch is fitted in its buffer and set
+up as one (:class:`~splitwald.teststats.StatisticSetup`). Each replication
+then fills one reused block of Bernoulli rows from its stream and takes
+their ``StatisticSetup.sums``; the rows' counts of ones in those sums show,
+once per chunk, which replications drew an unmixed row, and each of those
+fills its block again and redraws the rows. One
+``StatisticSetup.statistics`` call scores the batch. The decision is
 :func:`splitwald.teststats.reject_rule`, which equals ``p < alpha``. This
 module only chunks, seeds and counts.
 """
@@ -26,6 +32,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
@@ -41,7 +48,14 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .randomization import STREAM_LAYOUT, SeedSpec, draw_bernoulli_rows
+from .randomization import (
+    STREAM_LAYOUT,
+    BernoulliRows,
+    SeedSpec,
+    set_state,
+    state_generator,
+    unmixed,
+)
 from .regression import Restriction
 from .teststats import StatisticConfig, StatisticSetup, reject_rule
 
@@ -79,7 +93,7 @@ class PresetRef:
 def _grid(name, values, entry):
     """Nonempty tuple of ``entry(v)`` over a list-like grid."""
     if isinstance(values, str) or not isinstance(values, Iterable):
-        raise ValueError(f"{name} must be a list, got {values!r}")
+        raise ValueError(f"{name} must be a list, got {reprlib.repr(values)}")
     grid = tuple(entry(v) for v in values)
     if not grid:
         raise ValueError(f"{name} must be nonempty")
@@ -201,23 +215,33 @@ class ExperimentReport:
 
 def _run_chunk(payload):
     """Count rejections over one chunk of replications of one cell, as one
-    simulate batch: fitted in its buffer and set up as one, each
-    replication's draws taken from its stream, and scored together."""
+    simulate batch on one generator: fitted in its buffer and set up as
+    one, each replication's draws taken from its stream, and scored
+    together."""
     spec, cfg, restriction, seed, cell_id, start, stop = payload
     m = cfg.resolve_m(spec.n)
-    seeds = [seed.child(cell_id, r) for r in range(start, stop)]
+    gen = state_generator()
     try:
-        data, scratch, streams = simulate_many(spec, seeds)
+        data, scratch, after = simulate_many(
+            spec, seed.child(cell_id).child_states(start, stop), gen
+        )
     except NumericOverflow as exc:
         r = start + exc.index
         raise NumericOverflow(
             f"cell {cell_id}, replication {r}: {exc}", index=r
         ) from None
     setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
-    sums = np.empty((len(streams), m, 4))
-    for i, stream in enumerate(streams):
-        # one expression, so no draw block outlives its sums
-        setup.sums(i, draw_bernoulli_rows(spec.n, cfg.p0, m, stream), out=sums[i])
+    rows = BernoulliRows(spec.n, cfg.p0, m)
+    sums = np.empty((len(after), m, 4))
+    for i, state in enumerate(after):
+        set_state(gen, state)
+        setup.sums(i, rows.fill(gen), out=sums[i])
+    counts = sums[:, :, 3]
+    for i in np.flatnonzero(unmixed(counts, spec.n).any(axis=1)).tolist():
+        set_state(gen, after[i])
+        rows.fill(gen)
+        setup.sums(i, rows.redraw(gen, counts[i]), out=sums[i])
+    del rows  # free the draw block before the batch's (R, M) arrays
     s_n, _, _, degenerate = setup.statistics(sums)
     reject = reject_rule(cfg, m)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))

@@ -35,6 +35,7 @@ fixed-M critical value.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .distributions import ChiSquareParams, chisq_quantile, chisq_sf, normal_sf
 from .errors import DegenerateVariance, check_integer
-from .randomization import STREAM_LAYOUT, check_p0, draw_bernoulli_rows
+from .randomization import STREAM_LAYOUT, BernoulliRows, check_p0, unmixed
 from .regression import fit_in_place, time_dot, time_sum
 from .theory import check_alpha, check_mn_delta, mn_rule
 
@@ -93,10 +94,13 @@ class StatisticConfig:
 
     def __post_init__(self):
         p0 = check_p0(self.p0)
-        mode = _MODE_NAMES.get(str(self.mode).lower(), self.mode)
+        mode = self.mode
+        if isinstance(mode, str):
+            mode = _MODE_NAMES.get(mode.lower(), mode)
         if not isinstance(mode, TestMode):
             raise ValueError(
-                f"unknown mode {self.mode!r}; expected one of {', '.join(_MODE_NAMES)}"
+                f"unknown mode {reprlib.repr(self.mode)}; "
+                f"expected one of {', '.join(_MODE_NAMES)}"
             )
         alpha = check_alpha(self.alpha)
         m, mn_delta = self.m, self.mn_delta
@@ -182,11 +186,13 @@ class StatisticSetup:
     one-pass variance does not cancel when ``d`` is far from zero or nearly
     constant.
 
-    A caller draws each replication's rows with
-    :func:`~splitwald.randomization.draw_bernoulli_rows`, takes their
-    :meth:`sums` and scores the batch's sums with :meth:`statistics`; the
-    decision on each replication's total is :func:`reject_rule` in the
-    harness and :func:`p_value` in :func:`run_test`.
+    A caller fills each replication's rows in a
+    :class:`~splitwald.randomization.BernoulliRows` block, takes their
+    :meth:`sums`, redraws the rows whose count of ones there shows them
+    unmixed and takes those sums again, then scores the batch's sums with
+    :meth:`statistics`; the decision on each replication's total is
+    :func:`reject_rule` in the harness and :func:`p_value` in
+    :func:`run_test`.
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
@@ -260,18 +266,18 @@ def _degenerate(d_bar, s_d2, sigma2_1):
     return s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar)
 
 
-def _one_replication(setup, b):
-    """``(s_n, d_bar, s_d2)`` of the one replication of ``setup`` for its
-    ``(M, n)`` draws ``b``: the one-replication case of
-    :meth:`StatisticSetup.statistics`, which raises
+def _one_replication(setup, sums):
+    """``(s_n, d_bar, s_d2)`` of the one replication of ``setup`` for the
+    ``(M, 4)`` :meth:`~StatisticSetup.sums` of its draws: the
+    one-replication case of :meth:`StatisticSetup.statistics`, which raises
     :class:`DegenerateVariance` carrying the first degenerate draw
     (1-based)."""
-    s_n, d_bar, s_d2, degenerate = setup.statistics(setup.sums(0, b)[None])
+    s_n, d_bar, s_d2, degenerate = setup.statistics(sums[None])
     s_n, d_bar, s_d2 = s_n[0], d_bar[0], s_d2[0]
     if degenerate[0]:
         j = int(np.argmax(_degenerate(d_bar, s_d2, setup.sigma2_1[0])))
         raise DegenerateVariance(
-            f"Bernoulli draw {j + 1} of {b.shape[0]}: contrast sequence has "
+            f"Bernoulli draw {j + 1} of {sums.shape[0]}: contrast sequence has "
             f"numerically zero variance (s_d2={s_d2[j]:.3e})",
             draw_index=j + 1,
         )
@@ -334,8 +340,12 @@ def run_test(data, restriction, cfg, seed):
     m = cfg.resolve_m(data.n)
     batch = np.column_stack([data.X, data.y])[:, :, None]  # time-major, of one
     setup = StatisticSetup.fit(batch, restriction)
-    b = draw_bernoulli_rows(data.n, cfg.p0, m, seed.generator())
-    s_n, d_bar, s_d2 = _one_replication(setup, b)
+    rows = BernoulliRows(data.n, cfg.p0, m)
+    gen = seed.generator()
+    sums = setup.sums(0, rows.fill(gen))
+    if unmixed(sums[:, 3], data.n).any():
+        sums = setup.sums(0, rows.redraw(gen, sums[:, 3]))
+    s_n, d_bar, s_d2 = _one_replication(setup, sums)
     s_m = float(s_n.sum())
     q, p = p_value(s_m, m, cfg.mode)
     return TestOutcome(

@@ -80,7 +80,7 @@ def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b):
     # time-major array, so its sums over time take the same order
     batch = np.stack([u0_sq, u1_sq], axis=1).astype(np.float64)[:, :, None]
     setup = StatisticSetup(batch[:, 0], batch[:, 1], np.array([float(sigma2_1)]))
-    return _one_replication(setup, b)
+    return _one_replication(setup, setup.sums(0, b))
 
 
 @dataclass

@@ -187,6 +187,36 @@ class TestSimulateCommand:
         assert len(lines) == 1 and lines[0].startswith("ERROR:PlanParseError:")
         assert "nested too deeply" in lines[0]
 
+    @pytest.mark.parametrize("deepest", [False, True])
+    @pytest.mark.parametrize(
+        "field, template",
+        [
+            ("n_grid entry", '"n_grid": [{}], "p0_grid": [0.4]'),
+            ("mode", '"n_grid": [500], "p0_grid": [0.4], "statistic": {{"mode": {}}}'),
+        ],
+        ids=["n_grid", "mode"],
+    )
+    def test_nested_plan_value_names_its_field(
+        self, tmp_path, capsys, field, template, deepest
+    ):
+        # a value nested 900 deep, or as deep as json still parses here
+        # (about 950-990 levels, by the stack in use): the message shows the
+        # value in brief and names the field, on one short line
+        plan = tmp_path / "nested.plan"
+        for depth in range(1000 if deepest else 900, 0, -1):
+            value = template.format("[" * depth + "]" * depth)
+            plan.write_text(
+                '{"dgp": {"preset": "DGP2a"}, ' + value
+                + ', "replications": 100, "master_seed": 1}'
+            )
+            code = run_cli(["simulate", plan, "--out", tmp_path / "x.csv"])
+            lines = capsys.readouterr().err.splitlines()
+            if "nested too deeply" not in lines[0]:
+                break
+        assert depth >= 900 and code == 2
+        assert len(lines) == 1 and lines[0].startswith("ERROR:PlanParseError:")
+        assert field in lines[0] and len(lines[0]) < 200
+
     def test_bundled_plan_parses(self, tmp_path):
         from importlib import resources
 

@@ -21,6 +21,7 @@ from splitwald.dgp import (
     PRESET_NAMES,
     _check_overflow,
 )
+from splitwald.randomization import set_state, state_generator
 
 from oracle import replication_bytes, simulate_oracle
 
@@ -45,6 +46,14 @@ def oracle_samples(spec, seeds):
     return out
 
 
+def batch_of(spec, seeds):
+    """simulate_many on the start states that numpy's SeedSequence gives
+    each seed, through one generator."""
+    states = [seed.generator().bit_generator.state["state"]["state"] for seed in seeds]
+    states = np.array(states, np.uint64).reshape(-1, 4)
+    return simulate_many(spec, states, state_generator())
+
+
 def assert_same_sample(y, X, stream, ref, next_words):
     """Equal data, and the stream left at the oracle's place."""
     assert np.array_equal(y, ref.y)
@@ -56,16 +65,18 @@ def assert_batch_matches(batch, refs):
     """One batch, as views of one buffer: a time-major sample whose
     predictors and errors equal the oracle's row by row, and the burn-in
     rows before it as the fit's scratch."""
-    data, scratch, streams = batch
+    data, scratch, after = batch
     n, k, w = data.shape
     p = k - 1
-    assert w == len(refs) == len(streams) and data.flags.c_contiguous
+    assert w == len(refs) and after.shape == (w, 4) and data.flags.c_contiguous
     assert scratch.shape[1] == w and scratch.base is data.base
     assert not np.shares_memory(scratch, data)
+    gen = state_generator()
     for i, (ref, next_words) in enumerate(refs):
         assert np.array_equal(data[:, :p, i], ref.X_lagged)
         assert np.array_equal(data[:, p, i], ref.u)
-        assert np.array_equal(streams[i].bit_generator.random_raw(2), next_words)
+        set_state(gen, after[i])
+        assert np.array_equal(gen.bit_generator.random_raw(2), next_words)
 
 
 class TestCholesky:
@@ -275,7 +286,7 @@ class TestSimulate:
         for width in (1, narrowest - 1, narrowest, 83):
             seeds = [SeedSpec(12, width, (r,)) for r in range(width)]
             refs = oracle_samples(spec, seeds)
-            assert_batch_matches(simulate_many(spec, seeds), refs)
+            assert_batch_matches(batch_of(spec, seeds), refs)
 
     @pytest.mark.parametrize(
         "name, width, arrays",
@@ -291,7 +302,7 @@ class TestSimulate:
             monkeypatch.setattr(
                 dgp, path, lambda *a, path=path, real=real: paths.append(path) or real(*a)
             )
-        simulate_many(spec, [SeedSpec(14, r) for r in range(width)])
+        batch_of(spec, [SeedSpec(14, r) for r in range(width)])
         assert set(paths) == {"_recurse_rows" if arrays else "_recurse_series"}
 
     def test_array_path_overflow_guard(self):
@@ -304,7 +315,7 @@ class TestSimulate:
                 omega=np.eye(2), burn_in=0,
             )  # fmt: skip
             with pytest.raises(NumericOverflow, match=message) as info:
-                simulate_many(spec, seeds)
+                batch_of(spec, seeds)
             assert info.value.index == 0
 
     def test_overflow_names_the_first_bad_replication(self):
@@ -332,7 +343,7 @@ class TestSimulate:
 
 
 class TestBatches:
-    """simulate_many returns one batch for exactly the seeds it gets; its
+    """simulate_many returns one batch for exactly the states it gets; its
     caller keeps the batch within SIM_BATCH_BYTES by batch_width."""
 
     SPEC = preset("DGP1c", 120, alpha1=0.95, sigma_uv=-0.5, phi0=0.25, burn_in=50)
@@ -344,7 +355,7 @@ class TestBatches:
         seeds = [SeedSpec(21, 2, (r,)) for r in range(96)]
         refs = oracle_samples(self.SPEC, seeds)
         for lo in range(0, 96, width):
-            batch = simulate_many(self.SPEC, seeds[lo : lo + width])
+            batch = batch_of(self.SPEC, seeds[lo : lo + width])
             assert_batch_matches(batch, refs[lo : lo + width])
 
     def test_default_caps(self):
@@ -374,15 +385,15 @@ class TestBatches:
 
         monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
         seeds = [SeedSpec(22, r) for r in range(80)]
-        assert len(simulate_many(self.SPEC, seeds[:40])[2]) == 40
+        assert len(batch_of(self.SPEC, seeds[:40])[2]) == 40
         with pytest.raises(NumericOverflow, match="not finite") as info:
-            simulate_many(self.SPEC, seeds[40:])
+            batch_of(self.SPEC, seeds[40:])
         assert batches == [40, 40] and info.value.index == 2
 
     def test_no_seeds_no_samples(self):
-        data, scratch, streams = simulate_many(self.SPEC, [])
+        data, scratch, after = batch_of(self.SPEC, [])
         assert data.shape == (120, 2, 0) and scratch.shape[1] == 0
-        assert streams == []
+        assert after.shape == (0, 4)
 
 
 class TestPresets:

@@ -33,6 +33,7 @@ from splitwald import (
 )
 from splitwald import dgp
 from splitwald.experiments import CellResult, ExperimentPlan, ExperimentReport, run_plan
+from splitwald.randomization import BernoulliRows, unmixed
 
 from oracle import replication_bytes, replication_oracle, run_plan_oracle
 
@@ -318,6 +319,38 @@ def test_report_bytes_are_pinned(workers):
     assert hashlib.sha256(export_report(report, "csv")).hexdigest() == REPORT_SHA256
 
 
+# The CSV report of DGP1a at n = 4 and 8, p0 = 0.30 and M = 5, where about
+# a quarter of the rows at n = 4 come out all zeros or all ones and are
+# redrawn from the continuation of their streams (layout 5).
+REDRAW_SHA256 = "26fb6d510373329da604f77cc0d32f450432041935039056a2d5a6b04730c7b9"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_redrawn_report_bytes_are_pinned(monkeypatch, workers):
+    redrawn = {4: 0, 8: 0}  # unmixed rows by n
+    real = BernoulliRows.redraw
+
+    def redraw(rows, gen, counts):
+        redrawn[rows.block.shape[1]] += int(unmixed(counts, rows.block.shape[1]).sum())
+        return real(rows, gen, counts)
+
+    monkeypatch.setattr(BernoulliRows, "redraw", redraw)
+    plan = ExperimentPlan(
+        dgp=PresetRef("DGP1a", alpha1=0.0),
+        n_grid=(4, 8),
+        p0_grid=(0.30,),
+        beta_grid=(0.0, 0.5),
+        cfg_template=StatisticConfig(m=5),
+        replications=300,
+        master_seed=2303,
+        workers=workers,
+    )
+    report = run_plan(plan)
+    assert hashlib.sha256(export_report(report, "csv")).hexdigest() == REDRAW_SHA256
+    if workers == 1:  # the pool's workers count elsewhere
+        assert redrawn == {4: 718, 8: 182}
+
+
 class TestBatches:
     """A chunk simulates its replications as one simulate_many batch."""
 
@@ -351,9 +384,10 @@ class TestBatches:
         assert sum(c[1] for c in counts) == rejected
         assert sum(c[2] for c in counts) == degenerate
 
-    def test_one_generator_per_replication_alive_only_with_its_batch(self, monkeypatch):
-        # every replication builds one generator, for its shocks and draws
-        # alike; a chunk builds its own only, and none outlives its chunk
+    def test_one_bit_generator_per_chunk_and_no_seed_sequence(self, monkeypatch):
+        # a chunk derives its streams' start states as arrays and steps them
+        # on one SFC64: no replication builds a SeedSequence or a generator,
+        # and no chunk's generator outlives its chunk
         plan = ExperimentPlan(
             dgp=PresetRef("DGP1b", alpha1=1.0, sigma_uv=-0.9),
             n_grid=(1000,),
@@ -362,24 +396,33 @@ class TestBatches:
             replications=2 * ex.CHUNK,
             master_seed=5,
         )
-        real = SeedSpec.generator
-        built = []
+        built = {"SFC64": [], "SeedSequence": [], "Generator": []}
         alive_at_start = []
 
-        class Traced(np.random.Generator):  # a generator that takes weak references
-            pass
+        def counted(cls):
+            def __init__(self, *args, **kwargs):
+                cls.__init__(self, *args, **kwargs)
+                built[cls.__name__].append(weakref.ref(self))
 
-        def spy(seed):
-            if len(built) % ex.CHUNK == 0:
-                alive_at_start.append(sum(ref() is not None for ref in built))
-            gen = Traced(real(seed).bit_generator)
-            built.append(weakref.ref(gen))
-            return gen
+            # same name: the SFC64 state setter checks the class name
+            return type(cls.__name__, (cls,), {"__init__": __init__})
 
-        monkeypatch.setattr(SeedSpec, "generator", spy)
-        run_plan(plan)
-        assert len(built) == 500 and alive_at_start == [0, 0]
-        assert all(ref() is None for ref in built)
+        for name in built:
+            monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+        real = ex._run_chunk
+
+        def chunk(payload):
+            alive_at_start.append(sum(ref() is not None for ref in built["SFC64"]))
+            return real(payload)
+
+        monkeypatch.setattr(ex, "_run_chunk", chunk)
+        report = run_plan(plan)
+        monkeypatch.undo()
+        assert export_report(report, "csv") == export_report(run_plan(plan), "csv")
+        assert alive_at_start == [0, 0]
+        assert len(built["SFC64"]) == len(built["Generator"]) == 2
+        assert built["SeedSequence"] == []
+        assert all(ref() is None for refs in built.values() for ref in refs)
 
     def test_whole_chunk_batch_matches_the_former_cap(self, monkeypatch):
         # one 250-wide chunk of DGP1b at n=1000 gives the bytes of the three
@@ -395,9 +438,9 @@ class TestBatches:
         real = ex.simulate_many
         widths = []
 
-        def batch(spec, seeds):
-            widths.append(len(seeds))
-            return real(spec, seeds)
+        def batch(spec, states, gen):
+            widths.append(len(states))
+            return real(spec, states, gen)
 
         monkeypatch.setattr(ex, "simulate_many", batch)
         wide = export_report(run_plan(plan), "csv")
@@ -406,9 +449,9 @@ class TestBatches:
         assert widths == [250, 83, 83, 84]
 
     def test_overflow_index_counts_earlier_batches(self, monkeypatch):
-        # simulate_many names the failing seed by its position in the chunk's
-        # seeds; the chunk adds its start
-        def overflow_at_42(spec, seeds):
+        # simulate_many names the failing replication by its row in the
+        # chunk's states; the chunk adds its start
+        def overflow_at_42(spec, states, gen):
             raise NumericOverflow("forced", index=42)
 
         monkeypatch.setattr(ex, "simulate_many", overflow_at_42)

@@ -18,7 +18,15 @@ from splitwald import (
 )
 from splitwald import randomization
 from splitwald.errors import check_integer
-from splitwald.randomization import P0_HIGH, P0_LOW, _quarter_threshold
+from splitwald.randomization import (
+    P0_HIGH,
+    P0_LOW,
+    BernoulliRows,
+    _quarter_threshold,
+    set_state,
+    state_generator,
+    unmixed,
+)
 
 from oracle import WeightSequence, bernoulli_rows_oracle, draw_bernoulli_weights
 
@@ -148,15 +156,25 @@ class TestRows:
             ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(5, k).generator())
             np.testing.assert_array_equal(b, ref)
 
-    @pytest.mark.parametrize("check", [1, 3, 10**6])
-    def test_mix_check_does_not_change_the_draws(self, monkeypatch, check):
-        # the leading-draw check only decides which rows are summed in full
-        monkeypatch.setattr(randomization, "MIX_CHECK", check)
-        for n, p0, m in [(3, 0.30, 41), (70, 0.30, 400), (2, 0.70, 9)]:
-            for k in range(5):
-                b = draw_bernoulli_rows(n, p0, m, SeedSpec(10, k).generator())
-                ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(10, k).generator())
-                np.testing.assert_array_equal(b, ref)
+    @pytest.mark.parametrize("n, p0, m", [(3, 0.30, 41), (5, 0.30, 60), (2, 0.70, 9)])
+    def test_rows_redrawn_from_counts_of_a_refilled_block(self, n, p0, m):
+        # as a Monte Carlo chunk draws: fill one reused block per stream,
+        # then for a stream whose counts show an unmixed row, put it back,
+        # fill again and redraw from the counts
+        rows = BernoulliRows(n, p0, m)
+        gen = state_generator()
+        states = SeedSpec(10).child_states(0, 5)
+        counts = []
+        for state in states:
+            set_state(gen, state)
+            counts.append(rows.fill(gen).sum(axis=1))
+        for k, state in enumerate(states):
+            set_state(gen, state)
+            rows.fill(gen)
+            b = rows.redraw(gen, counts[k])
+            ref = bernoulli_rows_oracle(n, p0, m, SeedSpec(10).child(k).generator())
+            np.testing.assert_array_equal(b, ref)
+            assert unmixed(counts[k], n).any() and not unmixed(b.sum(axis=1), n).any()
 
     def test_quarter_threshold_is_within_two_to_the_minus_16_above_p0(self):
         for p0 in [*np.linspace(P0_LOW, P0_HIGH, 401).tolist(), 0.1 + 0.2, 2.0 / 3.0]:
@@ -265,6 +283,42 @@ class TestSeedSpec:
 
     def test_numpy_integer_path_element_is_the_same_stream(self):
         assert SeedSpec(5).child(np.int64(2)) == SeedSpec(5).child(2)
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_child_states_equal_numpy_seeding(self, master_seed):
+        # the array pass against numpy's SeedSequence and SFC64, where the
+        # words of the seed, the stream id, the cell and the replication
+        # number change count; the last range crosses 2**32
+        for stream_id in (0, 2**63):
+            for cell in (0, 2**32):
+                seed = SeedSpec(master_seed, stream_id).child(cell)
+                for start, stop in ((0, 3), (2**32 - 2, 2**32 + 2)):
+                    got = seed.child_states(start, stop)
+                    assert got.shape == (stop - start, 4) and got.dtype == np.uint64
+                    for i, r in enumerate(range(start, stop)):
+                        state = seed.child(r).generator().bit_generator.state
+                        assert state["has_uint32"] == 0
+                        np.testing.assert_array_equal(got[i], state["state"]["state"])
+
+    def test_child_states_of_any_path(self):
+        # a path of several elements, one beyond 64 bits, and no path at all
+        for seed in (SeedSpec(5, 2, (3, 2**70)), SeedSpec(9)):
+            expected = [
+                seed.child(r).generator().bit_generator.state["state"]["state"]
+                for r in (2**64 - 1, 2**64, 2**64 + 1)
+            ]
+            got = seed.child_states(2**64 - 1, 2**64 + 2)
+            np.testing.assert_array_equal(got, expected)
+        assert SeedSpec(1).child_states(7, 7).shape == (0, 4)
+        with pytest.raises(ValueError, match="stop must be an integer >= 7"):
+            SeedSpec(1).child_states(7, 6)
+
+    def test_state_generator_steps_a_stream_from_its_state(self):
+        seed = SeedSpec(3).child(4)
+        gen = state_generator()
+        set_state(gen, seed.child_states(0, 1)[0])
+        expected = seed.child(0).generator().bit_generator.random_raw(5)
+        np.testing.assert_array_equal(gen.bit_generator.random_raw(5), expected)
 
     def test_describe_round_trip(self):
         spec = SeedSpec(5, 2).child(3, 4)

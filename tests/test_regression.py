@@ -16,6 +16,7 @@ from splitwald import (
     simulate_many,
 )
 from splitwald.dgp import PRESET_NAMES
+from splitwald.randomization import state_generator
 from splitwald.regression import RCOND_TOL
 from splitwald.teststats import StatisticSetup
 
@@ -273,7 +274,8 @@ class TestAgainstQrOracle:
         samples = [simulate(spec, seed)[:2] for seed in seeds]
         y, X = (np.array(stack) for stack in zip(*samples))
         u1_qr, u0_qr = fit_residuals(y, X, restriction)
-        data, scratch, _ = simulate_many(spec, seeds)
+        states = SeedSpec(3, 1).child_states(0, 40)  # the starts of seeds' streams
+        data, scratch, _ = simulate_many(spec, states, state_generator())
         u0, u1 = fit_in_place(data, restriction, spec.beta, scratch)
         assert relative_gap(u1, u1_qr) <= 1e-12
         assert relative_gap(u0, u0_qr) <= 1e-12
