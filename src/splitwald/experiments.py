@@ -16,12 +16,10 @@ derives its replications' stream start states in one array pass
 (:meth:`~splitwald.randomization.SeedSpec.child_states`) and steps every
 stream on one generator: ``simulate_many`` draws the shocks and returns
 each stream's state after them. The batch is fitted in its buffer and set
-up as one (:class:`~splitwald.teststats.StatisticSetup`). Each replication
-then fills one reused block of Bernoulli rows from its stream and takes
-their ``StatisticSetup.sums``; the rows' counts of ones in those sums show,
-once per chunk, which replications drew an unmixed row, and each of those
-fills its block again and redraws the rows. One
-``StatisticSetup.statistics`` call scores the batch. The decision is
+up as one (:class:`~splitwald.teststats.StatisticSetup`), whose
+``draw_sums`` draws and sums every replication's Bernoulli rows from its
+stream after the shocks, as ``splitwald test`` does from the start of its
+stream; one ``statistics`` call scores the batch. The decision is
 :func:`splitwald.teststats.reject_rule`, which equals ``p < alpha``. This
 module only chunks, seeds and counts.
 """
@@ -48,14 +46,7 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .randomization import (
-    STREAM_LAYOUT,
-    BernoulliRows,
-    SeedSpec,
-    set_state,
-    state_generator,
-    unmixed,
-)
+from .randomization import STREAM_LAYOUT, SeedSpec, state_generator
 from .regression import Restriction
 from .teststats import StatisticConfig, StatisticSetup, reject_rule
 
@@ -231,18 +222,7 @@ def _run_chunk(payload):
             f"cell {cell_id}, replication {r}: {exc}", index=r
         ) from None
     setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
-    rows = BernoulliRows(spec.n, cfg.p0, m)
-    sums = np.empty((len(after), m, 4))
-    for i, state in enumerate(after):
-        set_state(gen, state)
-        setup.sums(i, rows.fill(gen), out=sums[i])
-    counts = sums[:, :, 3]
-    for i in np.flatnonzero(unmixed(counts, spec.n).any(axis=1)).tolist():
-        set_state(gen, after[i])
-        rows.fill(gen)
-        setup.sums(i, rows.redraw(gen, counts[i]), out=sums[i])
-    del rows  # free the draw block before the batch's (R, M) arrays
-    s_n, _, _, degenerate = setup.statistics(sums)
+    s_n, _, _, degenerate = setup.statistics(setup.draw_sums(after, gen, cfg.p0, m))
     reject = reject_rule(cfg, m)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
     return cell_id, rejected, int(degenerate.sum())

@@ -13,15 +13,15 @@ normal when ``M`` grows with the sample (but slower than it).
 The statistics run in two stages, so that the Monte Carlo harness can run
 both on a batch of replications. :class:`StatisticSetup` fits both
 regressions of a time-major batch in place and computes, as arrays,
-everything that does not depend on the draws. Per replication, the ``M``
-draws are the rows of one Bernoulli block (stream layout 5, four draws per
-SFC64 word, see :mod:`splitwald.randomization`), and one ``(M, n) @ (n, 4)``
-product (:meth:`StatisticSetup.sums`) gives each row's three masked sums and
-its count of ones. The weights take two values per row, so every row's mean
-and variance of ``d`` are closed forms in those sums.
-:meth:`StatisticSetup.statistics` evaluates them once for the whole batch
-on ``(R, M)`` arrays, without forming any ``d``, and marks the replications
-with a degenerate draw. :func:`run_test` is the one-replication case.
+everything that does not depend on the draws. Per replication, its
+``draw_sums`` draws the ``M`` rows of one Bernoulli block (stream layout 5,
+see :mod:`splitwald.randomization`), redraws unmixed ones, and takes one
+``(M, n) @ (n, 4)`` product (``sums``) for each row's three masked sums and
+count of ones. The weights take two values per row, so every row's mean and
+variance of ``d`` are closed forms in those sums. ``statistics`` evaluates
+them once for the whole batch on ``(R, M)`` arrays, without forming any
+``d``, and marks the replications with a degenerate draw. :func:`run_test`
+is the one-replication case.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
@@ -43,7 +43,14 @@ import numpy as np
 
 from .distributions import ChiSquareParams, chisq_quantile, chisq_sf, normal_sf
 from .errors import DegenerateVariance, check_integer
-from .randomization import STREAM_LAYOUT, BernoulliRows, check_p0, unmixed
+from .randomization import (
+    STREAM_LAYOUT,
+    BernoulliRows,
+    check_p0,
+    get_state,
+    set_state,
+    unmixed,
+)
 from .regression import fit_in_place, time_dot, time_sum
 from .theory import check_alpha, check_mn_delta, mn_rule
 
@@ -186,13 +193,10 @@ class StatisticSetup:
     one-pass variance does not cancel when ``d`` is far from zero or nearly
     constant.
 
-    A caller fills each replication's rows in a
-    :class:`~splitwald.randomization.BernoulliRows` block, takes their
-    :meth:`sums`, redraws the rows whose count of ones there shows them
-    unmixed and takes those sums again, then scores the batch's sums with
-    :meth:`statistics`; the decision on each replication's total is
-    :func:`reject_rule` in the harness and :func:`p_value` in
-    :func:`run_test`.
+    A caller draws the batch's rows and takes their sums with
+    :meth:`draw_sums`, then scores them with :meth:`statistics`; the
+    decision on each replication's total is :func:`reject_rule` in the
+    harness and :func:`p_value` in :func:`run_test`.
     """
 
     def __init__(self, u0_sq, u1_sq, sigma2_1):
@@ -200,9 +204,10 @@ class StatisticSetup:
         self.sigma2_1 = sigma2_1
         self.a = a = np.subtract(u0_sq, sigma2_1, out=u0_sq)
         self.c = c = np.subtract(u1_sq, sigma2_1, out=u1_sq)
-        self.m0 = time_sum(a) / self.n - time_sum(c) / self.n
+        a_sum = time_sum(a)
+        self.m0 = a_sum / self.n - time_sum(c) / self.n
         c += self.m0
-        self.totals = np.stack([time_sum(a), time_dot(a, a), time_dot(a, c)])
+        self.totals = np.stack([a_sum, time_dot(a, a), time_dot(a, c)])
         self.c_sum = time_sum(c)
         self.c_sq = time_dot(c, c)
         self.rows = np.ones((4, self.n))  # [a, a^2, a c, 1] of one replication
@@ -227,6 +232,25 @@ class StatisticSetup:
         np.multiply(a, a, out=rows[1])
         np.multiply(a, c, out=rows[2])
         return np.matmul(b, rows.T, out=out)
+
+    def draw_sums(self, states, gen, p0, m):
+        """The ``(R, M, 4)`` :meth:`sums` of every replication's ``M``
+        Bernoulli(p0) rows, drawn by the SFC64 generator ``gen`` from its row
+        of the ``(R, 4)`` stream ``states`` into one reused
+        :class:`BernoulliRows` block. The counts of ones show, once per call,
+        which replications drew an unmixed row; each of those fills its
+        block again from its state and redraws the rows (stream layout 5)."""
+        rows = BernoulliRows(self.n, p0, m)
+        sums = np.empty((len(states), m, 4))
+        for i, state in enumerate(states):
+            set_state(gen, state)
+            self.sums(i, rows.fill(gen), out=sums[i])
+        counts = sums[:, :, 3]
+        for i in np.flatnonzero(unmixed(counts, self.n).any(axis=1)).tolist():
+            set_state(gen, states[i])
+            rows.fill(gen)
+            self.sums(i, rows.redraw(gen, counts[i]), out=sums[i])
+        return sums
 
     def statistics(self, sums):
         """``(s_n, d_bar, s_d2, degenerate)`` of the ``(R, M, 4)`` stack of
@@ -330,21 +354,17 @@ def reject_rule(cfg, m):
 def run_test(data, restriction, cfg, seed):
     """Run the full randomized test on one dataset.
 
-    The one-replication case of the harness's path: fits the restricted and
-    unrestricted regressions in a :class:`StatisticSetup` of one
-    replication, draws the ``M`` Bernoulli rows from the start of the
-    stream at ``seed``, computes every single-shot statistic, aggregates
-    them and returns the outcome with its :func:`p_value`. A degenerate
-    draw raises :class:`DegenerateVariance` carrying its 1-based index.
+    The one-replication case of the harness's path: a :class:`StatisticSetup`
+    of both fits, whose ``draw_sums`` draws the ``M`` Bernoulli rows from the
+    start of the stream at ``seed``; then every single-shot statistic, their
+    sum and its :func:`p_value`. A degenerate draw raises
+    :class:`DegenerateVariance` carrying its 1-based index.
     """
     m = cfg.resolve_m(data.n)
     batch = np.column_stack([data.X, data.y])[:, :, None]  # time-major, of one
     setup = StatisticSetup.fit(batch, restriction)
-    rows = BernoulliRows(data.n, cfg.p0, m)
     gen = seed.generator()
-    sums = setup.sums(0, rows.fill(gen))
-    if unmixed(sums[:, 3], data.n).any():
-        sums = setup.sums(0, rows.redraw(gen, sums[:, 3]))
+    sums = setup.draw_sums(get_state(gen)[None], gen, cfg.p0, m)[0]
     s_n, d_bar, s_d2 = _one_replication(setup, sums)
     s_m = float(s_n.sum())
     q, p = p_value(s_m, m, cfg.mode)

@@ -329,8 +329,10 @@ class TestSeedSpec:
 class TestGoldenStream:
     """Stream layout 5 pinned by digest. A new bit generator, seeding rule
     or quarter-word split moves these, so a layout change is always a
-    declared one; on any host and numpy version the digests must stay as
-    they are."""
+    declared one. The simulated ``X_lagged`` comes from a BLAS product of
+    the shocks, so its digest is pinned on OpenBLAS's FMA kernels, with
+    SkylakeX and Haswell verified; kernels without FMA, such as Sandybridge
+    and Prescott, round that product differently and move it."""
 
     def test_streams_are_sfc64(self):
         assert randomization.STREAM_LAYOUT == 5

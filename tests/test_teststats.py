@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from splitwald import (
     simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
+from splitwald.randomization import BernoulliRows, unmixed
 from splitwald.regression import time_sum
 from splitwald.teststats import StatisticSetup
 
@@ -301,6 +304,29 @@ class TestRunTest:
         from splitwald import normal_sf
 
         assert out.p_value == pytest.approx(2.0 * normal_sf(abs(out.q)), abs=1e-15)
+
+    def test_outcomes_with_redrawn_rows_are_pinned(self, monkeypatch):
+        # six observations at p0 = 0.30 leave about one row in eight all
+        # zeros or all ones; those are redrawn from the continuation of the
+        # stream at the seed (layout 5)
+        redrawn = []
+        real = BernoulliRows.redraw
+
+        def redraw(rows, gen, counts):
+            redrawn.append(int(unmixed(counts, rows.block.shape[1]).sum()))
+            return real(rows, gen, counts)
+
+        monkeypatch.setattr(BernoulliRows, "redraw", redraw)
+        series = SeedSpec(3).generator().standard_normal(7).cumsum()
+        data = RegressionData(series[1:], series[:-1])
+        cfg = StatisticConfig(p0=0.30, m=30)
+        outcomes = [
+            run_test(data, Restriction.all_slopes(1), cfg, SeedSpec(seed)).as_dict()
+            for seed in range(1, 9)
+        ]
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert sum(redrawn) == 32
+        assert digest == "0a39ff57bbd427a0dca4bc6f095628deb8f87ad90ad0b40c98dfbefdbc6612ae"
 
 
 def residual_inputs(data, restriction):
