@@ -51,7 +51,7 @@ from .experiments import (
     power_curve_empirical,
     run_plan,
 )
-from .randomization import SeedSpec, check_p0, draw_bernoulli_rows
+from .randomization import SeedSpec, check_p0
 from .regression import (
     RegressionData,
     Restriction,

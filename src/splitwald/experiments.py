@@ -223,6 +223,7 @@ def _run_chunk(payload):
         ) from None
     setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
     s_n, _, _, degenerate = setup.statistics(setup.draw_sums(after, gen, cfg.p0, m))
+    degenerate = degenerate.any(axis=1)
     reject = reject_rule(cfg, m)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))
     return cell_id, rejected, int(degenerate.sum())

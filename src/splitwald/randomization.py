@@ -16,8 +16,8 @@ states of all its replications' streams in one array pass
 through their spawn keys.
 
 Stream layout 5: the ``M`` Bernoulli draws of one test are the rows of one
-``(M, n)`` block, row ``j - 1`` holding draw ``j``, read by
-:func:`draw_bernoulli_rows` from a generator wherever it stands. A Monte
+``(M, n)`` block, row ``j - 1`` holding draw ``j``, read by a
+:class:`BernoulliRows` block from a generator wherever it stands. A Monte
 Carlo replication draws its data shocks first and its rows from the
 continuation of the same stream; ``splitwald test`` draws them from the
 start of the stream at its seed. The block is filled in row-major order from
@@ -340,15 +340,3 @@ def unmixed(counts, n):
     """Where a row of ``n`` draws with ``counts`` ones is all zeros or all ones."""
     return (counts == 0.0) | (counts == n)
 
-
-def draw_bernoulli_rows(n, p0, m, gen):
-    """Draw ``m`` i.i.d. Bernoulli(n, p0) rows from the generator ``gen``.
-
-    Returns the ``(m, n)`` 0/1 float64 matrix of a :class:`BernoulliRows`
-    block, filled and redrawn: the draws read on from wherever ``gen``
-    stands and leave it after the last word they took. Every returned row is
-    mixed.
-    """
-    rows = BernoulliRows(n, p0, m)
-    b = rows.fill(gen)
-    return rows.redraw(gen, b.sum(axis=1))

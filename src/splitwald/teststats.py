@@ -20,8 +20,9 @@ see :mod:`splitwald.randomization`), redraws unmixed ones, and takes one
 count of ones. The weights take two values per row, so every row's mean and
 variance of ``d`` are closed forms in those sums. ``statistics`` evaluates
 them once for the whole batch on ``(R, M)`` arrays, without forming any
-``d``, and marks the replications with a degenerate draw. :func:`run_test`
-is the one-replication case.
+``d``, and marks the degenerate draws. The harness counts a replication
+with a degenerate draw as degenerate; :func:`run_test` scores its dataset as
+a chunk of one replication and raises at the first degenerate draw.
 
 Rejection regions: the fixed-M mode refers the aggregate to the upper tail
 of its exact chi-square null. The growing-M mode refers the centered
@@ -138,6 +139,11 @@ class TestOutcome:
 
     ``s_n``, ``d_bar`` and ``s_d2`` are the ``(M,)`` arrays of the draws'
     single-shot statistics, means and variances.
+
+    :meth:`StatisticSetup.sums` is an OpenBLAS product, so the last bits of
+    ``s_m``, ``q`` and the per-draw values depend on the BLAS kernel: four
+    kernels gave four ``s_m`` on one 5,000-row dataset, and none moved a
+    decision or a 6-digit report.
     """
 
     s_m: float
@@ -255,11 +261,14 @@ class StatisticSetup:
     def statistics(self, sums):
         """``(s_n, d_bar, s_d2, degenerate)`` of the ``(R, M, 4)`` stack of
         every replication's :meth:`sums`: the closed form on ``(R, M)``
-        arrays, with the n-divisor variance, and the ``(R,)`` mask of the
-        replications with a degenerate draw.
+        arrays, with the n-divisor variance, and the ``(R, M)`` mask of the
+        degenerate draws.
 
-        A draw whose ``d`` is numerically constant cannot be studentized;
-        its ``s_n`` is meaningless, and its replication is marked.
+        A draw whose ``d`` is numerically constant cannot be studentized; its
+        ``s_n`` is meaningless. It is degenerate when its variance is at most
+        1e-14 of ``sigma2_1^2 + d_bar^2``, which scales as ``d^2`` does, so
+        the rule does not depend on the units of ``y``. A noise-free fit,
+        where all three are zero, is degenerate.
         """
         n = self.n
         s_a, s_aa, s_ac, counts = np.moveaxis(sums, 2, 0)
@@ -278,34 +287,9 @@ class StatisticSetup:
         s_d2 -= shift * shift
         with np.errstate(divide="ignore", invalid="ignore"):
             s_n = n * d_bar * d_bar / s_d2
-        degenerate = _degenerate(d_bar, s_d2, self.sigma2_1[:, None])
-        return s_n, d_bar, s_d2, degenerate.any(axis=1)
-
-
-def _degenerate(d_bar, s_d2, sigma2_1):
-    """Where a draw's contrast ``d`` is numerically constant: its variance is
-    at most 1e-14 of ``sigma2_1^2 + d_bar^2``, which scales as ``d^2`` does,
-    so the rule does not depend on the units of ``y``. A noise-free fit,
-    where all three are zero, is degenerate."""
-    return s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar)
-
-
-def _one_replication(setup, sums):
-    """``(s_n, d_bar, s_d2)`` of the one replication of ``setup`` for the
-    ``(M, 4)`` :meth:`~StatisticSetup.sums` of its draws: the
-    one-replication case of :meth:`StatisticSetup.statistics`, which raises
-    :class:`DegenerateVariance` carrying the first degenerate draw
-    (1-based)."""
-    s_n, d_bar, s_d2, degenerate = setup.statistics(sums[None])
-    s_n, d_bar, s_d2 = s_n[0], d_bar[0], s_d2[0]
-    if degenerate[0]:
-        j = int(np.argmax(_degenerate(d_bar, s_d2, setup.sigma2_1[0])))
-        raise DegenerateVariance(
-            f"Bernoulli draw {j + 1} of {sums.shape[0]}: contrast sequence has "
-            f"numerically zero variance (s_d2={s_d2[j]:.3e})",
-            draw_index=j + 1,
-        )
-    return s_n, d_bar, s_d2
+        sigma2_1 = self.sigma2_1[:, None]
+        degenerate = s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar)
+        return s_n, d_bar, s_d2, degenerate
 
 
 def p_value(s_m, m, mode):
@@ -354,18 +338,26 @@ def reject_rule(cfg, m):
 def run_test(data, restriction, cfg, seed):
     """Run the full randomized test on one dataset.
 
-    The one-replication case of the harness's path: a :class:`StatisticSetup`
-    of both fits, whose ``draw_sums`` draws the ``M`` Bernoulli rows from the
-    start of the stream at ``seed``; then every single-shot statistic, their
-    sum and its :func:`p_value`. A degenerate draw raises
-    :class:`DegenerateVariance` carrying its 1-based index.
+    Scored as a Monte Carlo chunk of one replication: a
+    :class:`StatisticSetup` of both fits, whose ``draw_sums`` draws the
+    ``M`` Bernoulli rows from the start of the stream at ``seed`` and whose
+    ``statistics`` scores them; then their sum and its :func:`p_value`. The
+    first degenerate draw raises :class:`DegenerateVariance` carrying its
+    1-based index.
     """
     m = cfg.resolve_m(data.n)
     batch = np.column_stack([data.X, data.y])[:, :, None]  # time-major, of one
     setup = StatisticSetup.fit(batch, restriction)
     gen = seed.generator()
-    sums = setup.draw_sums(get_state(gen)[None], gen, cfg.p0, m)[0]
-    s_n, d_bar, s_d2 = _one_replication(setup, sums)
+    stats = setup.statistics(setup.draw_sums(get_state(gen)[None], gen, cfg.p0, m))
+    s_n, d_bar, s_d2, degenerate = (x[0] for x in stats)
+    if degenerate.any():
+        j = int(np.argmax(degenerate))
+        raise DegenerateVariance(
+            f"Bernoulli draw {j + 1} of {m}: contrast sequence has "
+            f"numerically zero variance (s_d2={s_d2[j]:.3e})",
+            draw_index=j + 1,
+        )
     s_m = float(s_n.sum())
     q, p = p_value(s_m, m, cfg.mode)
     return TestOutcome(

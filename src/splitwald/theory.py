@@ -8,9 +8,7 @@ for the number of Bernoulli draws.
 """
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .distributions import ChiSquareParams, chisq_cdf, chisq_quantile
 from .errors import InvalidDelta, InvalidKurtosis, InvalidP0, check_integer, check_real
@@ -78,7 +76,8 @@ def _check_ar1(phi1, kurtosis_u):
 
 @dataclass
 class LocalAlternative:
-    """Local departure from the global null.
+    """Local departure from the global null, as the two scalars that
+    :func:`ncp_general` reads.
 
     ``q_inf`` is the scalar quadratic form of the departure coefficients in
     the limiting second-moment matrix of the predictors. For the
@@ -88,16 +87,10 @@ class LocalAlternative:
     centered squared errors.
     """
 
-    delta: np.ndarray
     q_inf: float
     sigma_eta: float
-    alpha: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
-        if self.alpha is None:
-            self.alpha = np.zeros_like(self.delta)
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
         self.q_inf = check_real("q_inf", self.q_inf)
         self.sigma_eta = check_real("sigma_eta", self.sigma_eta)
         if self.sigma_eta <= 0:
@@ -115,7 +108,7 @@ class LocalAlternative:
         _check_ar1(phi1, kurtosis_u)
         q_inf = delta1**2 * sigma2_v / (1.0 - phi1**2)
         sigma_eta = sigma2_u * math.sqrt(kurtosis_u - 1.0)
-        return cls(delta=[delta1], q_inf=q_inf, sigma_eta=sigma_eta, alpha=[0.0])
+        return cls(q_inf=q_inf, sigma_eta=sigma_eta)
 
 
 def ncp_general(p0, m, la):

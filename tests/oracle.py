@@ -6,6 +6,8 @@ draw and ``single_shot`` studentizes it with a centered second pass. The
 library computes the same quantities for all draws at once in closed form
 (:meth:`splitwald.teststats.StatisticSetup.statistics`);
 ``closed_form_statistics`` calls it on a set-up of one replication.
+``draw_bernoulli_rows`` reads one block of stream layout 5 through
+:class:`splitwald.randomization.BernoulliRows`, as the library does.
 
 ``DesignFactor`` fits one dataset, coefficients included, through the QR
 of its uncentred augmented design, as the library did before it fitted the
@@ -24,8 +26,9 @@ and scored batches as arrays and decided by the critical value.
 ``bernoulli_rows_oracle`` defines stream layout 5 arithmetically: it splits
 each stream word into its four 16-bit quarters with Python integers, lowest
 first, and compares each quarter with ``ceil(p0 * 2**16)`` in exact rational
-arithmetic, one draw at a time, as :func:`splitwald.draw_bernoulli_rows`
-does for a whole block through a 16-bit view of the words.
+arithmetic, one draw at a time, as a
+:class:`splitwald.randomization.BernoulliRows` block does through a 16-bit
+view of the words.
 
 ``simulate_oracle`` runs the data-generating recursions one time step at a
 time, all predictors together, as :func:`splitwald.simulate` did before it
@@ -58,11 +61,11 @@ from splitwald import (
     TestMode,
     TooFewRows,
     chisq_sf,
-    draw_bernoulli_rows,
     normal_sf,
 )
+from splitwald.randomization import BernoulliRows
 from splitwald.regression import RCOND_TOL
-from splitwald.teststats import StatisticSetup, _one_replication
+from splitwald.teststats import StatisticSetup
 
 
 class LengthMismatch(SplitwaldError):
@@ -80,7 +83,25 @@ def closed_form_statistics(u0_sq, u1_sq, sigma2_1, b):
     # time-major array, so its sums over time take the same order
     batch = np.stack([u0_sq, u1_sq], axis=1).astype(np.float64)[:, :, None]
     setup = StatisticSetup(batch[:, 0], batch[:, 1], np.array([float(sigma2_1)]))
-    return _one_replication(setup, setup.sums(0, b))
+    stats = setup.statistics(setup.sums(0, b)[None])
+    s_n, d_bar, s_d2, degenerate = (x[0] for x in stats)
+    if degenerate.any():
+        j = int(np.argmax(degenerate))
+        raise DegenerateVariance(
+            f"Bernoulli draw {j + 1} of {len(b)}: contrast sequence has "
+            f"numerically zero variance (s_d2={s_d2[j]:.3e})",
+            draw_index=j + 1,
+        )
+    return s_n, d_bar, s_d2
+
+
+def draw_bernoulli_rows(n, p0, m, gen):
+    """The ``(m, n)`` Bernoulli(p0) rows of one block read on from wherever
+    ``gen`` stands: a :class:`BernoulliRows` block filled, then redrawn from
+    its rows' counts of ones, so every row is mixed."""
+    rows = BernoulliRows(n, p0, m)
+    b = rows.fill(gen)
+    return rows.redraw(gen, b.sum(axis=1))
 
 
 @dataclass
@@ -114,7 +135,7 @@ class WeightSequence:
 def draw_bernoulli_weights(n, p0, seed):
     """Draw one i.i.d. Bernoulli(n, p0) sequence and its weights.
 
-    This is row 0 of :func:`splitwald.draw_bernoulli_rows` from the start
+    This is row 0 of :func:`draw_bernoulli_rows` from the start
     of the stream at ``seed``: a degenerate draw is redrawn from the
     continuation of the same stream, so the weights are always defined.
     """
@@ -123,7 +144,7 @@ def draw_bernoulli_weights(n, p0, seed):
 
 
 def bernoulli_rows_oracle(n, p0, m, gen):
-    """Draw-by-draw reference for :func:`splitwald.draw_bernoulli_rows`,
+    """Draw-by-draw reference for :func:`draw_bernoulli_rows`,
     reading on from wherever the generator ``gen`` stands.
 
     The ``m * n`` draws take consecutive 16-bit quarters of the stream

@@ -124,6 +124,25 @@ class TestTestCommand:
             run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--frobnicate", "1"])
         assert exc.value.code == 2
 
+    def test_empty_predictor_list(self, sample_csv, capsys):
+        assert run_cli(["test", sample_csv, "--y", "y", "--x", ","]) == 2
+        assert capsys.readouterr().err == (
+            "ERROR:SplitwaldError: --x needs at least one predictor column\n"
+        )
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert run_cli(["test", path, "--y", "y", "--x", "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"ERROR:SplitwaldError: input file not found: {path}\n"
+        )
+
+    def test_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run_cli(["test", path, "--y", "y", "--x", "x"]) == 2
+        assert capsys.readouterr().err == f"ERROR:TooFewRows: {path}: empty file\n"
+
 
 class TestSimulateCommand:
     def plan_doc(self):
@@ -155,6 +174,23 @@ class TestSimulateCommand:
         assert doc["cells"][0]["reps"] == 120
         assert doc["metadata"]["master_seed"] == 13
         assert doc["metadata"]["stream_layout"] == 5
+
+    def test_flagged_plan_exit_code(self, tmp_path, capsys):
+        # theta0 = 5e-324 underflows every error to zero, so every
+        # replication is degenerate and the cell exceeds the limit
+        doc = self.plan_doc()
+        doc["dgp"] = {
+            "spec": {"alpha": [0], "c": [0.5], "omega": [[1, 0], [0, 1]], "theta0": 5e-324}
+        }
+        doc["replications"] = 100
+        doc["master_seed"] = 1
+        plan = tmp_path / "flagged.plan"
+        plan.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run_cli(["simulate", plan, "--out", out, "--format", "json"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("ERROR:ExcessDegeneracies:")
+        assert json.loads(out.read_text())["cells"][0]["reps"] == 0
 
     def test_bad_plan_exit_code(self, tmp_path, capsys):
         plan = tmp_path / "bad.plan"
@@ -275,6 +311,12 @@ class TestTheoryCommand:
     def test_invalid_grid(self, capsys):
         assert run_cli(["theory", "--curve", "f", "--grid", "0.9:0.1:0.01"]) == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidGrid:")
+
+    def test_grid_of_two_parts(self, capsys):
+        assert run_cli(["theory", "--curve", "f", "--grid", "1:2"]) == 2
+        assert capsys.readouterr().err == (
+            "ERROR:InvalidGrid: bad grid '1:2': expected VALUE or LO:HI:STEP\n"
+        )
 
     # 0:1e308:1e-308 has finite bounds but an infinite point count
     @pytest.mark.parametrize(

@@ -107,6 +107,17 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky_lower(np.eye(17))
 
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            (np.ones((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "matrix must be finite"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, omega, message):
+        with pytest.raises(NotPositiveDefinite, match=message):
+            cholesky_lower(omega)
+
 
 class TestSpecValidation:
     def kwargs(self, **over):
@@ -175,6 +186,20 @@ class TestSpecValidation:
     def test_omega_must_be_pd(self):
         with pytest.raises(NotPositiveDefinite):
             DgpSpec(**self.kwargs(omega=[[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"omega": np.eye(3)}, r"omega must be \(2, 2\) for 1 predictors, got \(3, 3\)"),
+            ({"theta0": 0.0}, "theta0 must be positive"),
+            ({"theta0": -1.0}, "theta0 must be positive"),
+            ({"rho": 1.0}, r"rho must lie in \(-1, 1\)"),
+            ({"rho": -1.5}, r"rho must lie in \(-1, 1\)"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            DgpSpec(**self.kwargs(**over))
 
 
 class TestSimulate:

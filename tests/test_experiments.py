@@ -210,7 +210,7 @@ class TestRunPlan:
             s_n, d_bar, s_d2, degenerate = real(setup, sums)
             ordinal = seen["n"] + np.arange(1, len(degenerate) + 1)
             seen["n"] += len(degenerate)
-            return s_n, d_bar, s_d2, degenerate | (ordinal % 4 == 0)
+            return s_n, d_bar, s_d2, degenerate | (ordinal % 4 == 0)[:, None]
 
         monkeypatch.setattr(ts.StatisticSetup, "statistics", flaky)
         report = run_plan(tiny_plan())
@@ -586,7 +586,7 @@ class TestDecision:
 
         def at_points(setup, sums):
             s_n = np.array([[next(calls)] for _ in range(len(sums))])
-            return s_n, None, None, np.zeros(len(sums), dtype=bool)
+            return s_n, None, None, np.zeros(s_n.shape, dtype=bool)
 
         monkeypatch.setattr(ts.StatisticSetup, "statistics", at_points)
         spec = preset("DGP1a", 40, alpha1=0.0, burn_in=10)
@@ -720,6 +720,10 @@ class TestExport:
     def test_empty_report(self):
         with pytest.raises(EmptyReport):
             export_report(ExperimentReport(cells=[]), "csv")
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown export format 'xml'"):
+            export_report(self.demo_report(), "xml")
 
 
 class TestPlanFiles:
@@ -886,6 +890,17 @@ class TestPlanFiles:
         path.write_text("{not json")
         with pytest.raises(PlanParseError, match="line"):
             load_plan(path)
+
+    def test_spec_combined_with_another_field(self):
+        spec = {"alpha": [0.0], "c": 0.5, "omega": np.eye(2).tolist()}
+        doc = {**self.valid_doc(), "dgp": {"spec": spec, "preset": "DGP1a"}}
+        with pytest.raises(PlanParseError, match="dgp: 'spec' cannot be combined"):
+            plan_from_dict(doc)
+
+    def test_dgp_without_preset_or_spec(self):
+        doc = {**self.valid_doc(), "dgp": {"alpha1": 0.0}}
+        with pytest.raises(PlanParseError, match="dgp: expected either 'preset' or 'spec'"):
+            plan_from_dict(doc)
 
     def test_workers_override(self):
         plan = plan_from_dict(self.valid_doc(), workers=4)

@@ -12,7 +12,6 @@ from splitwald import (
     InvalidP0,
     SeedSpec,
     check_p0,
-    draw_bernoulli_rows,
     preset,
     simulate,
 )
@@ -28,7 +27,12 @@ from splitwald.randomization import (
     unmixed,
 )
 
-from oracle import WeightSequence, bernoulli_rows_oracle, draw_bernoulli_weights
+from oracle import (
+    WeightSequence,
+    bernoulli_rows_oracle,
+    draw_bernoulli_rows,
+    draw_bernoulli_weights,
+)
 
 
 class TestWeights:
@@ -232,6 +236,10 @@ def test_weights_always_sum_to_n(n, p0, seed):
 
 
 class TestSeedSpec:
+    def test_child_needs_a_key(self):
+        with pytest.raises(ValueError, match=r"child\(\) requires at least one path element"):
+            SeedSpec(1).child()
+
     def test_stream_determinism(self):
         a = draw_bernoulli_weights(1000, 0.4, SeedSpec(42, 3))
         b = draw_bernoulli_weights(1000, 0.4, SeedSpec(42, 3))

@@ -78,6 +78,10 @@ class TestUnrestricted:
         with pytest.raises(NonFiniteInput):
             RegressionData([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="y has 4 rows but X has 3"):
+            RegressionData([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             RegressionData([1.0, 2.0], [1.0, 2.0])
@@ -134,6 +138,14 @@ class TestRestricted:
     def test_rank_deficient_restriction_rejected(self):
         with pytest.raises(SingularRestriction):
             Restriction(np.array([[1.0, 1.0], [2.0, 2.0]]))
+
+    def test_non_finite_restriction_rejected(self):
+        with pytest.raises(NonFiniteInput, match="restriction matrix must be finite"):
+            Restriction(np.array([[1.0, np.nan]]))
+
+    def test_more_rows_than_slopes_rejected(self):
+        with pytest.raises(SingularRestriction, match=r"need 1 <= r <= p, got shape \(3, 2\)"):
+            Restriction(np.eye(3)[:, :2])
 
     @pytest.mark.parametrize("indices", [[0, -1], [3], [True]])
     def test_subset_index_out_of_range_rejected(self, indices):

@@ -17,7 +17,6 @@ from splitwald import (
     TestMode,
     chisq_sf,
     ChiSquareParams,
-    draw_bernoulli_rows,
     fit_in_place,
     power_curve_empirical,
     preset,
@@ -34,6 +33,7 @@ from oracle import (
     WeightSequence,
     closed_form_statistics,
     compute_d_sequence,
+    draw_bernoulli_rows,
     draw_bernoulli_weights,
     draw_statistics_oracle,
     single_shot,
@@ -465,7 +465,7 @@ class TestBatchedClosedForm:
         draws = [draw_bernoulli_rows(n, 0.40, m, gen) for _ in range(width)]
         sums = np.stack([setup.sums(i, b) for i, b in enumerate(draws)])
         s_n, d_bar, s_d2, degenerate = setup.statistics(sums)
-        assert s_n.shape == d_bar.shape == s_d2.shape == (width, m)
+        assert s_n.shape == d_bar.shape == s_d2.shape == degenerate.shape == (width, m)
         np.testing.assert_array_equal(sums[:, :, 3], [b.sum(axis=1) for b in draws])
 
         raised = []
@@ -480,7 +480,7 @@ class TestBatchedClosedForm:
             for batched, one in zip((s_n[i], d_bar[i], s_d2[i]), got):
                 assert np.array_equal(batched, one)
         assert raised == [bad]
-        assert np.flatnonzero(degenerate).tolist() == [bad]
+        assert np.flatnonzero(degenerate.any(axis=1)).tolist() == [bad]
 
 
 class TestNullBehaviour:

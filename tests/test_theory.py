@@ -100,12 +100,12 @@ class TestElasticity:
 
 class TestNoncentrality:
     def test_zero_departure(self):
-        la = LocalAlternative(delta=[0.0], q_inf=0.0, sigma_eta=1.0)
+        la = LocalAlternative(q_inf=0.0, sigma_eta=1.0)
         assert ncp_general(0.4, 5, la) == 0.0
         assert ncp_ar1(0.4, 5, 0.0, 1.0, 1.0, 0.5, 3.0) == 0.0
 
     def test_linear_in_m(self):
-        la = LocalAlternative(delta=[0.2], q_inf=0.8, sigma_eta=1.5)
+        la = LocalAlternative(q_inf=0.8, sigma_eta=1.5)
         assert ncp_general(0.4, 10, la) == pytest.approx(
             2.0 * ncp_general(0.4, 5, la), rel=1e-12
         )
@@ -130,10 +130,33 @@ class TestNoncentrality:
         with pytest.raises(InvalidKurtosis):
             ncp_ar1(0.4, 1, 1.0, 1.0, 1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("phi1", [1.0, -1.0, 1.2])
+    def test_non_stationary_predictor_rejected(self, phi1):
+        with pytest.raises(ValueError, match=r"\|phi1\| must be < 1"):
+            ncp_ar1(0.4, 1, 1.0, 1.0, 1.0, phi1, 3.0)
+        with pytest.raises(ValueError, match=r"\|phi1\| must be < 1"):
+            LocalAlternative.single_stationary(1.0, phi1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("variances", [(0.0, 1.0), (1.0, -2.0)])
+    def test_non_positive_variance_rejected(self, variances):
+        with pytest.raises(ValueError, match="variances must be positive"):
+            ncp_ar1(0.4, 1, 1.0, *variances, 0.5, 3.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"q_inf": 0.8, "sigma_eta": 0.0}, "sigma_eta must be positive"),
+            ({"q_inf": -0.1, "sigma_eta": 1.5}, "q_inf must be nonnegative"),
+        ],
+    )
+    def test_local_alternative_ranges_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LocalAlternative(**kwargs)
+
     @pytest.mark.parametrize("m", [0, -3, 2.5, True])
     def test_draw_count_must_be_a_positive_integer(self, m):
         # ncp_ar1 returned 0 at m=0 and -10.24 at m=-3, and took 2.5 and True
-        la = LocalAlternative(delta=[0.2], q_inf=0.8, sigma_eta=1.5)
+        la = LocalAlternative(q_inf=0.8, sigma_eta=1.5)
         with pytest.raises(ValueError, match="m must be an integer >= 1"):
             ncp_ar1(0.4, m, 0.6, 1.0, 1.0, 0.5, 3.0)
         with pytest.raises(ValueError, match="m must be an integer >= 1"):
@@ -143,7 +166,7 @@ class TestNoncentrality:
     @pytest.mark.parametrize("value", [float("nan"), "1", True])
     def test_local_alternative_reals_checked(self, field, value):
         # NaN was accepted and "1" raised TypeError
-        kwargs = {"delta": [0.2], "q_inf": 0.8, "sigma_eta": 1.5, field: value}
+        kwargs = {"q_inf": 0.8, "sigma_eta": 1.5, field: value}
         with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
             LocalAlternative(**kwargs)
 
@@ -180,7 +203,7 @@ class TestAsymptoticPower:
 
     def test_never_below_size_on_grid(self):
         for q_inf in (0.0, 0.1, 0.5, 2.0):
-            la = LocalAlternative(delta=[1.0], q_inf=q_inf, sigma_eta=1.7)
+            la = LocalAlternative(q_inf=q_inf, sigma_eta=1.7)
             for m in (1, 5, 13):
                 ncp = ncp_general(0.40, m, la)
                 assert asymptotic_power(ncp, m, 0.10) >= 0.10 - 1e-9
