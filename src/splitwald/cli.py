@@ -317,8 +317,17 @@ def _write_lines(out, lines):
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`SplitwaldError`,
+    so that :func:`main` reports them as one ``ERROR:`` line like any other
+    failure. Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise SplitwaldError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitwald",
         description="Randomized split-sample significance tests for predictive regressions.",
     )
@@ -364,7 +373,11 @@ def build_parser():
     s.set_defaults(func=_cmd_simulate)
 
     w = sub.add_parser("power", help="empirical power curve for a preset scenario")
-    w.add_argument("--preset", required=True, choices=PRESET_NAMES)
+    w.add_argument(
+        "--preset",
+        required=True,
+        help=f"scenario name, in any case: {', '.join(PRESET_NAMES)}",
+    )
     w.add_argument("--n", type=int, required=True, help="sample size")
     w.add_argument("--alpha1", type=float, default=None, help="persistence exponent")
     w.add_argument("--sigma-uv", type=float, default=None, dest="sigma_uv")
@@ -395,9 +408,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SplitwaldError, ValueError, OSError, MemoryError) as exc:
         print(f"ERROR:{type(exc).__name__}: {exc}", file=sys.stderr)

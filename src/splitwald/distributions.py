@@ -16,7 +16,10 @@ from .errors import InvalidProbability, NonConvergence, check_integer, check_rea
 
 _EPS = 1e-16
 _MAX_SERIES_ITER = 10**6
-# Remaining Poisson tail mass below this truncates the noncentral mixture.
+# Each direction of the noncentral mixture stops at a Poisson weight below
+# this times the modal weight. A stop on the unseen mass, 1 - sum(w) < 1e-12,
+# could not fire at large ncp: the modal weight is the exponential of a
+# difference of terms near ncp * log(ncp), whose rounding exceeds 1e-12.
 _POISSON_TAIL = 1e-12
 
 
@@ -64,6 +67,10 @@ def _upper_gamma_cf(a, x):
     # Q(a, x) via the Lentz continued fraction; valid for x >= a + 1.
     tiny = 1e-300
     b = x + 1.0 - a
+    if b == 0.0:  # x == a >= 2**53, where x + 1 rounds to x
+        raise NonConvergence(
+            f"incomplete gamma continued fraction cannot start at a={a}, x={x}"
+        )
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
@@ -103,50 +110,41 @@ def _central_chisq_cdf(x, df):
 
 def _noncentral_chisq_cdf(x, df, ncp):
     # Poisson(ncp/2) mixture over central chi-square CDFs with df + 2k
-    # degrees of freedom, expanded outward from the modal Poisson index so
-    # large noncentralities neither underflow nor truncate prematurely.
+    # degrees of freedom, summed from the modal Poisson index up, then down,
+    # as AS 275 does (Ding 1992); the weights fall away from the mode.
     lam = 0.5 * ncp
     k0 = int(lam)
     log_w0 = -lam + k0 * math.log(lam) - math.lgamma(k0 + 1) if lam > 0 else 0.0
     w0 = math.exp(log_w0)
-
     total = w0 * _central_chisq_cdf(x, df + 2 * k0)
-    weight_seen = w0
-
-    w_up, w_down = w0, w0
-    k_up, k_down = k0, k0
-    for _ in range(_MAX_SERIES_ITER):
-        if 1.0 - weight_seen < _POISSON_TAIL:
-            return min(max(total, 0.0), 1.0)
-        advanced = False
-        if w_up > 0.0:
-            k_up += 1
-            w_up *= lam / k_up
-            if w_up > 0.0:
-                total += w_up * _central_chisq_cdf(x, df + 2 * k_up)
-                weight_seen += w_up
-                advanced = True
-        if k_down > 0:
-            w_down *= k_down / lam
-            k_down -= 1
-            total += w_down * _central_chisq_cdf(x, df + 2 * k_down)
-            weight_seen += w_down
-            advanced = True
-        if not advanced:
-            # Both directions exhausted; remaining mass is numerically zero.
-            return min(max(total, 0.0), 1.0)
-    raise NonConvergence(
-        f"noncentral chi-square series failed to reach tail tolerance "
-        f"{_POISSON_TAIL} within {_MAX_SERIES_ITER} terms (ncp={ncp})"
-    )
+    # the modal term alone at tiny ncp, and from ncp ~ 1e16, where log_w0 is 0
+    if 1.0 - w0 < _POISSON_TAIL:
+        return min(max(total, 0.0), 1.0)
+    for step in (1, -1):
+        w, k = w0, k0
+        for _ in range(_MAX_SERIES_ITER):
+            # at k = 0 the downward factor k / lam is 0, which ends that walk
+            w *= lam / (k + 1) if step > 0 else k / lam
+            k += step
+            if w < _POISSON_TAIL * w0:
+                break
+            total += w * _central_chisq_cdf(x, df + 2 * k)
+        else:
+            raise NonConvergence(
+                f"noncentral chi-square series did not fall to {_POISSON_TAIL} "
+                f"of its modal weight within {_MAX_SERIES_ITER} terms (ncp={ncp})"
+            )
+    return min(max(total, 0.0), 1.0)
 
 
 def chisq_cdf(x, params):
     """Chi-square CDF, central or noncentral per ``params``.
 
     Negative ``x`` returns 0. Accuracy is driven by double-precision
-    incomplete gamma evaluation; the noncentral mixture is truncated once
-    the unexplored Poisson weight falls below 1e-12.
+    incomplete gamma evaluation. The noncentral mixture is summed up and
+    down from its modal Poisson term, each direction until a weight falls
+    below 1e-12 of the modal one; a stop on the unseen Poisson mass could
+    not fire at large ``ncp``, where the weights' rounding exceeds 1e-12.
     """
     x = check_real("x", x)
     if params.ncp == 0.0:

@@ -39,6 +39,12 @@ the errors ``u`` of the sample, which the library does not return.
 ``read_csv_oracle`` reads a `splitwald test` CSV one record at a time with
 ``csv`` and ``float()``, as ``splitwald.cli._read_csv`` did before it parsed
 the body with one ``np.loadtxt`` call.
+
+``noncentral_chisq_cdf`` sums the Poisson mixture of the noncentral
+chi-square CDF with two interleaved cursors out from the modal index,
+stopping once the weights seen sum to within ``_POISSON_TAIL`` of 1, as
+``splitwald.distributions._noncentral_chisq_cdf`` did before it walked one
+direction at a time and stopped on a weight ratio.
 """
 
 import csv
@@ -53,6 +59,7 @@ from splitwald import (
     ColumnMissing,
     DegenerateVariance,
     InvalidLength,
+    NonConvergence,
     RegressionData,
     SeedSpec,
     SingularDesign,
@@ -62,6 +69,11 @@ from splitwald import (
     TooFewRows,
     chisq_sf,
     normal_sf,
+)
+from splitwald.distributions import (
+    _MAX_SERIES_ITER,
+    _POISSON_TAIL,
+    _central_chisq_cdf,
 )
 from splitwald.randomization import BernoulliRows
 from splitwald.regression import RCOND_TOL
@@ -482,3 +494,43 @@ def read_csv_oracle(path, y_col, x_cols):
             rows.append(values)
     arr = np.asarray(rows, dtype=np.float64)
     return arr[:, 0], arr[:, 1:]
+
+
+def noncentral_chisq_cdf(x, df, ncp):
+    # Poisson(ncp/2) mixture over central chi-square CDFs with df + 2k
+    # degrees of freedom, expanded outward from the modal Poisson index so
+    # large noncentralities neither underflow nor truncate prematurely.
+    lam = 0.5 * ncp
+    k0 = int(lam)
+    log_w0 = -lam + k0 * math.log(lam) - math.lgamma(k0 + 1) if lam > 0 else 0.0
+    w0 = math.exp(log_w0)
+
+    total = w0 * _central_chisq_cdf(x, df + 2 * k0)
+    weight_seen = w0
+
+    w_up, w_down = w0, w0
+    k_up, k_down = k0, k0
+    for _ in range(_MAX_SERIES_ITER):
+        if 1.0 - weight_seen < _POISSON_TAIL:
+            return min(max(total, 0.0), 1.0)
+        advanced = False
+        if w_up > 0.0:
+            k_up += 1
+            w_up *= lam / k_up
+            if w_up > 0.0:
+                total += w_up * _central_chisq_cdf(x, df + 2 * k_up)
+                weight_seen += w_up
+                advanced = True
+        if k_down > 0:
+            w_down *= k_down / lam
+            k_down -= 1
+            total += w_down * _central_chisq_cdf(x, df + 2 * k_down)
+            weight_seen += w_down
+            advanced = True
+        if not advanced:
+            # Both directions exhausted; remaining mass is numerically zero.
+            return min(max(total, 0.0), 1.0)
+    raise NonConvergence(
+        f"noncentral chi-square series failed to reach tail tolerance "
+        f"{_POISSON_TAIL} within {_MAX_SERIES_ITER} terms (ncp={ncp})"
+    )

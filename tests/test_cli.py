@@ -119,10 +119,23 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("ERROR:ValueError:") and "mutually exclusive" in err
 
-    def test_unknown_flag_is_an_error(self, sample_csv):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--frobnicate", "1"])
-        assert exc.value.code == 2
+    def test_unknown_flag_is_an_error(self, sample_csv, capsys):
+        code = run_cli(
+            ["test", sample_csv, "--y", "y", "--x", "x1", "--frobnicate", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR:SplitwaldError: unrecognized arguments: --frobnicate 1\n"
+        )
+
+    def test_bad_flag_value_is_one_error_line(self, sample_csv, capsys):
+        # argparse printed its usage text and raised SystemExit here before
+        assert run_cli(["test", sample_csv, "--y", "y", "--x", "a", "--m", "3.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ERROR:SplitwaldError: argument --m: invalid int value: '3.5'\n"
+        )
 
     def test_empty_predictor_list(self, sample_csv, capsys):
         assert run_cli(["test", sample_csv, "--y", "y", "--x", ","]) == 2
@@ -371,6 +384,26 @@ class TestMisc:
         betas = [float(r.split(",")[0]) for r in rows[1:]]
         assert betas == sorted(betas) == [0.0, 0.2, 0.4]
 
+    def test_power_preset_name_in_any_case(self, tmp_path):
+        outputs = []
+        for name in ("DGP1a", "dgp1a"):
+            out = tmp_path / f"{name}.csv"
+            code = run_cli(
+                ["power", "--preset", name, "--n", "150", "--alpha1", "0.0",
+                 "--beta-grid", "0:0.2:0.2", "--m", "3", "--reps", "100",
+                 "--seed", "3", "--out", out]
+            )  # fmt: skip
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_power_unknown_preset(self, capsys):
+        code = run_cli(["power", "--preset", "nope", "--n", "150", "--alpha1", "0.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:UnknownPreset: unknown preset 'nope'")
+        assert err.count("\n") == 1
+
     def test_power_mutually_exclusive_m_flags(self, capsys):
         code = run_cli(
             ["power", "--preset", "DGP1a", "--n", "150", "--alpha1", "0.0",
@@ -414,6 +447,12 @@ class TestMisc:
             assert (spec.alpha.tolist(), spec.c.tolist()) == (alpha, c)
             assert (spec.rho, spec.theta0, spec.theta1) == (rho, theta0, theta1)
             assert spec.omega.tolist() == omega
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["power", "--help"])
+        assert exc.value.code == 0
+        assert "DGP2c_ii" in capsys.readouterr().out
 
     def test_version_embeds_build_identifier(self, capsys):
         from splitwald import __version__

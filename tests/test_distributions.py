@@ -9,12 +9,14 @@ from mcutil import (
     ks_distance,
     normal_cdf_oracle,
 )
+from oracle import noncentral_chisq_cdf
 
 from splitwald import (
     ChiSquareParams,
     asymptotic_power,
     InvalidP0,
     InvalidProbability,
+    NonConvergence,
     SeedSpec,
     chisq_cdf,
     chisq_quantile,
@@ -23,6 +25,7 @@ from splitwald import (
     normal_cdf,
     normal_sf,
 )
+import splitwald.distributions as distributions
 from splitwald.randomization import P0_HIGH, P0_LOW
 
 # The functions of one real x: the normal tails and the chi-square(3) tails.
@@ -111,6 +114,14 @@ class TestCentralChiSquare:
         # deep tail stays positive instead of rounding to zero
         assert 0.0 < chisq_sf(200.0, params) < 1e-30
 
+    @pytest.mark.parametrize("fn", [chisq_cdf, chisq_sf])
+    @pytest.mark.parametrize("df", [10**17, 10**20])
+    def test_huge_df_raises_nonconvergence(self, fn, df):
+        # x + 1 - a rounds to 0 at x = a = df / 2; a ZeroDivisionError
+        # escaped the continued fraction here before
+        with pytest.raises(NonConvergence, match="cannot start"):
+            fn(float(df), ChiSquareParams(df))
+
     @pytest.mark.parametrize("df", [1, 5])
     def test_matches_sum_of_squared_normals(self, df):
         gen = SeedSpec(2024, df).generator()
@@ -188,6 +199,59 @@ class TestNoncentral:
         by_ncp = [chisq_cdf(12.0, ChiSquareParams(5, n)) for n in (0.0, 5.0, 10.0, 20.0)]
         assert all(b < a for a, b in zip(by_ncp, by_ncp[1:]))
 
+    def test_sf_is_complement_of_cdf(self):
+        params = ChiSquareParams(5, 10.0)
+        tails = [chisq_sf(x, params) for x in (1.0, 12.0, 60.0)]
+        assert tails == [1.0 - chisq_cdf(x, params) for x in (1.0, 12.0, 60.0)]
+        assert 0.999 < tails[0] and 0.0 < tails[2] < 1e-4
+        oracle = 1.0 - noncentral_chisq_cdf(12.0, 5, 10.0)
+        assert tails[1] == pytest.approx(oracle, abs=2e-12)
+
+    def test_against_interleaved_walk_oracle(self):
+        worst = 0.0
+        for df in (1, 2, 3, 7, 20, 100, 500, 2000, 5000):
+            for ncp in np.geomspace(1e-3, 5000.0, 11).tolist():
+                for ratio in np.geomspace(0.01, 5.0, 9).tolist():
+                    x = ratio * (df + ncp)
+                    got = chisq_cdf(x, ChiSquareParams(df, ncp))
+                    worst = max(worst, abs(got - noncentral_chisq_cdf(x, df, ncp)))
+        assert worst < 2e-12
+
+    @pytest.mark.parametrize("m", [16_000, 80_200, 100_000])
+    def test_central_terms_grow_as_root_m(self, m, monkeypatch):
+        # the interleaved walk stopped on 1 - sum(w) < 1e-12, which rounding
+        # kept from firing here, so it summed all 2M terms
+        x = chisq_quantile(0.9, m)
+        calls = []
+        central = distributions._central_chisq_cdf
+
+        def counted(x, df):
+            calls.append(df)
+            return central(x, df)
+
+        monkeypatch.setattr(distributions, "_central_chisq_cdf", counted)
+        assert chisq_cdf(x, ChiSquareParams(m, 2.0 * m)) == 0.0
+        assert len(calls) < 20 * math.sqrt(m)
+
+    @pytest.mark.parametrize("ncp", [5e-324, 1e-13, 1e20, 1e300])
+    def test_extreme_ncp_keeps_interleaved_walk_values(self, ncp):
+        # 5e-324 halves to 0 and gives the central value; at 1e20 and 1e300
+        # the modal weight rounds to 1, so the modal term alone is returned
+        got = chisq_cdf(5.0, ChiSquareParams(3, ncp))
+        assert got == noncentral_chisq_cdf(5.0, 3, ncp)
+        assert chisq_sf(5.0, ChiSquareParams(3, ncp)) == 1.0 - got
+        if ncp == 5e-324:
+            assert got == chisq_cdf(5.0, ChiSquareParams(3))
+        if ncp >= 1e20:
+            assert got == 0.0
+
+    def test_unbounded_walk_raises_nonconvergence(self, monkeypatch):
+        # at ncp = 1e12 each direction needs about 5e6 terms, past the
+        # default bound of 1e6; a bound of 1000 gives the same error sooner
+        monkeypatch.setattr(distributions, "_MAX_SERIES_ITER", 1000)
+        with pytest.raises(NonConvergence, match="within 1000 terms"):
+            chisq_cdf(5.0, ChiSquareParams(3, 1e12))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ChiSquareParams(0)
@@ -240,6 +304,13 @@ class TestQuantile:
     def test_inverse_identity(self, p, df):
         x = chisq_quantile(p, df)
         assert chisq_cdf(x, ChiSquareParams(df)) == pytest.approx(p, abs=1e-8)
+
+    def test_bracket_doubles_past_its_first_guess(self):
+        # the first bracket for df=1 ends at 11 + 10 * sqrt(2), about 25.1
+        x = chisq_quantile(1.0 - 1e-9, 1)
+        assert x == pytest.approx(37.3249, abs=1e-4)
+        assert x > 11.0 + 10.0 * math.sqrt(2.0)
+        assert chisq_sf(x, ChiSquareParams(1)) == pytest.approx(1e-9, rel=1e-6)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0, "a"])
     def test_invalid_probability(self, p):

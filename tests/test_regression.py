@@ -135,6 +135,17 @@ class TestRestricted:
         refit, _ = fit_one(y, s)
         np.testing.assert_allclose(u0, refit, atol=1e-10)
 
+    @pytest.mark.parametrize("row", [[1.0, -1.0], [0.0, 1.0]])
+    def test_one_dimensional_row_fits_as_a_matrix_row(self, row):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 2))
+        y = 0.5 + X @ np.array([1.0, -0.3]) + rng.standard_normal(50)
+        flat = Restriction(np.array(row))
+        assert flat.R.shape == (1, 2)
+        as_row = fit_one(y, X, Restriction(np.array([row])))
+        for got, expected in zip(fit_one(y, X, flat), as_row):
+            np.testing.assert_array_equal(got, expected)
+
     def test_rank_deficient_restriction_rejected(self):
         with pytest.raises(SingularRestriction):
             Restriction(np.array([[1.0, 1.0], [2.0, 2.0]]))
