@@ -5,6 +5,9 @@ Subcommands: ``test`` (run the randomized significance test on a CSV),
 curve for a named scenario), ``theory`` (closed-form tuning/power curves)
 and ``presets`` (list the bundled scenarios). Every failure path exits
 nonzero with a single machine-parsable ``ERROR:<Code>:`` line on stderr.
+Only ``simulate`` and ``power`` import the Monte Carlo harness
+(:mod:`splitwald.experiments`), inside their functions, so that the other
+commands never load it.
 """
 
 import argparse
@@ -26,7 +29,6 @@ from .errors import (
     SplitwaldError,
     TooFewRows,
 )
-from .experiments import export_report, load_plan, power_curve_empirical, run_plan
 from .randomization import SeedSpec
 from .regression import RegressionData, Restriction
 from .teststats import StatisticConfig, run_test
@@ -225,6 +227,8 @@ def _cmd_test(args):
 
 
 def _cmd_simulate(args):
+    from .experiments import export_report, load_plan, run_plan
+
     plan = load_plan(args.plan, workers=args.workers)
     if args.replications is not None:
         plan = replace(plan, replications=args.replications)
@@ -248,6 +252,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_power(args):
+    from .experiments import power_curve_empirical
+
     spec = preset(
         args.preset,
         args.n,
@@ -277,6 +283,8 @@ def _cmd_power(args):
 def _cmd_theory(args):
     if args.curve in ("f", "g", "elasticity"):
         grid = _parse_grid(args.grid if args.grid else "0.05:0.95:0.01")
+        if not args.grid and args.curve != "g":
+            grid.remove(0.5)  # the pole of f and of the elasticity
         fn = {"f": f_p0, "g": g_p0, "elasticity": elasticity}[args.curve]
         lines = [f"p0,{args.curve}"]
         for p0 in grid:
@@ -394,7 +402,12 @@ def build_parser():
     th.add_argument(
         "--curve", required=True, choices=("f", "g", "elasticity", "power_vs_m")
     )
-    th.add_argument("--grid", default=None, help="p0 grid as LO:HI:STEP or VALUE")
+    th.add_argument(
+        "--grid",
+        default=None,
+        help="p0 grid as LO:HI:STEP or VALUE (default 0.05:0.95:0.01, "
+        "without the pole 0.5 for f and elasticity)",
+    )
     th.add_argument("--lam", type=float, default=2.0, help="per-draw noncentrality")
     th.add_argument("--m-max", type=int, default=30, dest="m_max")
     th.add_argument("--alpha", type=float, default=0.10)

@@ -19,6 +19,11 @@ from .errors import NonFiniteInput, SingularDesign, SingularRestriction
 
 # Reciprocal condition number of X'X below this means a rank-deficient design.
 RCOND_TOL = 1e-12
+# Fewest scratch rows a fit works through (all of them when n is smaller):
+# each slab of _subtract_multiple costs a Python loop step, so a scratch of
+# a few rows, such as the burn-in rows of a plan with burn_in 0, would loop
+# once per observation.
+SCRATCH_MIN_ROWS = 256
 
 
 @dataclass
@@ -121,7 +126,9 @@ def fit_in_place(data, restriction, beta=None, scratch=None):
     ``data[t, :p, i]`` holds replication ``i``'s predictors ``x_{t-1}`` and
     ``data[t, p, i]`` its ``e_t``, of ``y_t = mu + beta' x_{t-1} + e_t``
     (``beta`` defaults to zero). ``scratch`` is ``(s, R)``, overwritten a
-    slab of ``s`` rows at a time (``(n, R)`` when None).
+    slab of ``s`` rows at a time (``(n, R)`` when None). A scratch of fewer
+    than ``min(n, SCRATCH_MIN_ROWS)`` rows is not used: the fit allocates
+    one of that many rows instead.
 
     Centring takes the intercept out: the centred ``y`` is ``e_c + X_c
     beta``. One modified Gram-Schmidt pass over the predictors in
@@ -142,7 +149,10 @@ def fit_in_place(data, restriction, beta=None, scratch=None):
     if restriction.rotation is not None:  # into a new array
         X = np.einsum("tjr,ji->tir", X, restriction.rotation)
         beta = None if beta is None else restriction.rotation.T @ beta
-    scratch = np.empty((n, width)) if scratch is None else scratch
+    if scratch is None:
+        scratch = np.empty((n, width))
+    elif scratch.shape[0] < min(n, SCRATCH_MIN_ROWS):
+        scratch = np.empty((min(n, SCRATCH_MIN_ROWS), width))
     xbar = time_sum(X) / n
     X -= xbar
     y -= time_sum(y) / n

@@ -303,6 +303,22 @@ class TestTheoryCommand:
         assert values[0] > values[mid] and values[-1] > values[mid]
         assert min(values) >= 1.0
 
+    @pytest.mark.parametrize("curve, rows", [("f", 90), ("g", 91), ("elasticity", 90)])
+    def test_default_grid_skips_the_pole(self, curve, rows, capsys):
+        # 0.05:0.95:0.01 lands on 0.5, the pole of f and of the elasticity
+        assert run_cli(["theory", "--curve", curve]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"p0,{curve}"
+        p0s = [line.split(",")[0] for line in out[1:]]
+        assert len(p0s) == rows
+        assert ("0.5" in p0s) == (curve == "g")
+
+    @pytest.mark.parametrize("curve", ["f", "elasticity"])
+    def test_explicit_grid_through_the_pole(self, curve, capsys):
+        assert run_cli(["theory", "--curve", curve, "--grid", "0.05:0.95:0.01"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR:InvalidP0:")
+
     def test_power_vs_m_curve(self, capsys):
         assert run_cli(
             ["theory", "--curve", "power_vs_m", "--lam", "2", "--m-max", "8"]

@@ -17,7 +17,7 @@ from splitwald import (
 )
 from splitwald.dgp import PRESET_NAMES
 from splitwald.randomization import state_generator
-from splitwald.regression import RCOND_TOL
+from splitwald.regression import RCOND_TOL, SCRATCH_MIN_ROWS, _subtract_multiple
 from splitwald.teststats import StatisticSetup
 
 from oracle import DesignFactor, fit_residuals
@@ -200,8 +200,8 @@ class TestStack:
     def test_stack_width_never_moves_a_number(self, p, indices):
         # A replication fitted alone, in a batch of 7 and in the whole batch
         # of 17 gives the same bits: every sum over time runs in time order
-        # for each replication alike, whatever the width. The slope and the
-        # 9-row scratch run the fit's slab updates too.
+        # for each replication alike, whatever the width. The slope runs the
+        # fit's slab updates too.
         rng = np.random.default_rng(21)
         e = rng.standard_normal((17, 150))
         X = rng.standard_normal((17, 150, p)).cumsum(axis=1) + 2.0
@@ -226,6 +226,29 @@ class TestStack:
                         getattr(part, name), getattr(whole, name)[lo : lo + width]
                     )
                 np.testing.assert_array_equal(part.totals, whole.totals[:, lo : lo + width])
+
+    @pytest.mark.parametrize("n", [100, 600])
+    def test_a_short_scratch_is_not_used(self, n, monkeypatch):
+        # a plan with burn_in 0 hands the fit one burn-in row as scratch;
+        # slabs of one row would loop once per observation
+        rows = []
+
+        def spy(v, c, q, scratch):
+            rows.append(scratch.shape[0])
+            return _subtract_multiple(v, c, q, scratch)
+
+        monkeypatch.setattr("splitwald.regression._subtract_multiple", spy)
+        spec = preset("DGP2a", n, beta=0.3, burn_in=0)
+        R = Restriction.subset([1], 3)
+        data, scratch, _ = simulate_many(
+            spec, SeedSpec(5).child_states(0, 4), state_generator()
+        )
+        assert scratch.shape[0] == 1
+        whole = [u.copy() for u in fit_in_place(data.copy(), R, spec.beta)]
+        u0, u1 = fit_in_place(data, R, spec.beta, scratch)
+        assert rows and min(rows) >= min(n, SCRATCH_MIN_ROWS)
+        np.testing.assert_array_equal(u0, whole[0])
+        np.testing.assert_array_equal(u1, whole[1])
 
     @pytest.mark.parametrize("bad", ["collinear", "constant"])
     def test_stack_raises_where_the_oracle_does(self, bad):
