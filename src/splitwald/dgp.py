@@ -220,16 +220,14 @@ def simulate_many(spec, states, gen):
     variance at its stationary value, runs ``burn_in + n`` steps, and pairs
     ``y_t`` with ``x_{t-1}`` so exactly ``n`` usable observations remain.
 
-    The batch is ``(data, scratch, after)``: the time-major
-    ``(n, p + 1, R)`` sample that
-    :func:`~splitwald.regression.fit_in_place` takes, whose ``data[t, :p, i]``
-    holds replication ``i``'s lagged predictors ``x_{t-1}`` and
-    ``data[t, p, i]`` its error ``u_t``; the buffer's burn-in rows, which the
-    fit may overwrite; and the ``(R, 4)`` states of the replications' streams
-    after the shocks they drew, where ``gen`` is left at the last one. The
-    first replication whose state is not finite or exceeds
-    ``OVERFLOW_GUARD`` raises :class:`NumericOverflow` carrying its row in
-    ``states`` as ``index``.
+    The batch is ``(data, after)``: the time-major ``(n, p + 1, R)`` sample
+    that :func:`~splitwald.regression.fit_in_place` takes, whose
+    ``data[t, :p, i]`` holds replication ``i``'s lagged predictors
+    ``x_{t-1}`` and ``data[t, p, i]`` its error ``u_t``; and the ``(R, 4)``
+    states of the replications' streams after the shocks they drew, where
+    ``gen`` is left at the last one. The first replication whose state is
+    not finite or exceeds ``OVERFLOW_GUARD`` raises :class:`NumericOverflow`
+    carrying its row in ``states`` as ``index``.
 
     Replication ``r`` draws its shocks from its stream into slice ``r`` of
     one time-major buffer, whose row 0 is the zero start state, and the
@@ -257,7 +255,7 @@ def simulate_many(spec, states, gen):
     rows = buf.reshape((total + 1) * (spec.p + 1), len(states))
     first = spec.burn_in * (spec.p + 1) + 1
     data = rows[first : first + spec.n * (spec.p + 1)]
-    return data.reshape(spec.n, spec.p + 1, len(states)), rows[:first], after
+    return data.reshape(spec.n, spec.p + 1, len(states)), after
 
 
 def simulate(spec, seed):
@@ -266,7 +264,7 @@ def simulate(spec, seed):
     ``(y, X_lagged, stream)``, with the generator positioned after the
     shocks it drew."""
     stream = seed.generator()
-    data, _, _ = simulate_many(spec, get_state(stream)[None], stream)
+    data, _ = simulate_many(spec, get_state(stream)[None], stream)
     X_lagged = data[:, : spec.p, 0].copy()
     y = spec.mu + X_lagged @ spec.beta
     y += data[:, spec.p, 0]

@@ -10,6 +10,7 @@ in the test suite.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 from .errors import InvalidProbability, NonConvergence, check_integer, check_real
@@ -21,6 +22,8 @@ _MAX_SERIES_ITER = 10**6
 # could not fire at large ncp: the modal weight is the exponential of a
 # difference of terms near ncp * log(ncp), whose rounding exceeds 1e-12.
 _POISSON_TAIL = 1e-12
+# Largest df + ncp: lgamma((df + ncp) / 2) leaves the float range near 5e305.
+_MAX_DF_NCP = 1e305
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,10 @@ class ChiSquareParams:
         object.__setattr__(self, "ncp", check_real("ncp", self.ncp))
         if self.ncp < 0:
             raise ValueError(f"ncp must be >= 0, got {self.ncp!r}")
+        # df first: an int beyond the float range cannot be added to ncp
+        if self.df > _MAX_DF_NCP or self.df + self.ncp > _MAX_DF_NCP:
+            df = reprlib.repr(self.df)
+            raise ValueError(f"df + ncp must be at most 1e+305, got {df} + {self.ncp!r}")
 
 
 def normal_cdf(x):

@@ -102,11 +102,12 @@ class NotPositiveDefinite(SplitwaldError):
 
 
 class NumericOverflow(SplitwaldError):
-    """Simulated state exceeded the overflow guard (explosive parameters).
+    """Simulated state exceeded the overflow guard (explosive parameters),
+    or the statistic's sums of squared residuals left the float range.
 
     ``index`` is the 0-based replication: its position in the seeds of
-    :func:`splitwald.simulate_many`, and its index within its plan cell
-    when raised by :func:`splitwald.run_plan`.
+    :func:`splitwald.simulate_many` or in a statistic set-up's batch, and
+    its index within its plan cell when raised by :func:`splitwald.run_plan`.
     """
 
     def __init__(self, message, index=None):

@@ -213,16 +213,16 @@ def _run_chunk(payload):
     m = cfg.resolve_m(spec.n)
     gen = state_generator()
     try:
-        data, scratch, after = simulate_many(
+        data, after = simulate_many(
             spec, seed.child(cell_id).child_states(start, stop), gen
         )
+        setup = StatisticSetup.fit(data, restriction, spec.beta)
+        s_n, _, _, degenerate = setup.statistics(setup.draw_sums(after, gen, cfg.p0, m))
     except NumericOverflow as exc:
         r = start + exc.index
         raise NumericOverflow(
             f"cell {cell_id}, replication {r}: {exc}", index=r
         ) from None
-    setup = StatisticSetup.fit(data, restriction, spec.beta, scratch)
-    s_n, _, _, degenerate = setup.statistics(setup.draw_sums(after, gen, cfg.p0, m))
     degenerate = degenerate.any(axis=1)
     reject = reject_rule(cfg, m)
     rejected = sum(reject(float(s_m)) for s_m in s_n[~degenerate].sum(axis=1))

@@ -19,11 +19,10 @@ from .errors import NonFiniteInput, SingularDesign, SingularRestriction
 
 # Reciprocal condition number of X'X below this means a rank-deficient design.
 RCOND_TOL = 1e-12
-# Fewest scratch rows a fit works through (all of them when n is smaller):
-# each slab of _subtract_multiple costs a Python loop step, so a scratch of
-# a few rows, such as the burn-in rows of a plan with burn_in 0, would loop
-# once per observation.
-SCRATCH_MIN_ROWS = 256
+# Bytes of the largest temporary of _subtract_multiple, at any n, width or
+# burn-in. Chunk times were within noise from 16 to 256 KiB (p=3, slope and
+# burn_in 0 cells; 2 cores, numpy 2.4.6), so the budget is kept small.
+SLAB_BYTES = 64 * 2**10
 
 
 @dataclass
@@ -118,17 +117,15 @@ class Restriction:
         return cls(R)
 
 
-def fit_in_place(data, restriction, beta=None, scratch=None):
+def fit_in_place(data, restriction, beta=None):
     """``(u0, u1)``: the ``(n, R)`` restricted and unrestricted residuals of
     a time-major batch, as views of ``data``, whose other values it
     overwrites.
 
     ``data[t, :p, i]`` holds replication ``i``'s predictors ``x_{t-1}`` and
     ``data[t, p, i]`` its ``e_t``, of ``y_t = mu + beta' x_{t-1} + e_t``
-    (``beta`` defaults to zero). ``scratch`` is ``(s, R)``, overwritten a
-    slab of ``s`` rows at a time (``(n, R)`` when None). A scratch of fewer
-    than ``min(n, SCRATCH_MIN_ROWS)`` rows is not used: the fit allocates
-    one of that many rows instead.
+    (``beta`` defaults to zero). Slope updates run in slabs of at most
+    ``SLAB_BYTES`` (:func:`_subtract_multiple`).
 
     Centring takes the intercept out: the centred ``y`` is ``e_c + X_c
     beta``. One modified Gram-Schmidt pass over the predictors in
@@ -149,15 +146,11 @@ def fit_in_place(data, restriction, beta=None, scratch=None):
     if restriction.rotation is not None:  # into a new array
         X = np.einsum("tjr,ji->tir", X, restriction.rotation)
         beta = None if beta is None else restriction.rotation.T @ beta
-    if scratch is None:
-        scratch = np.empty((n, width))
-    elif scratch.shape[0] < min(n, SCRATCH_MIN_ROWS):
-        scratch = np.empty((min(n, SCRATCH_MIN_ROWS), width))
     xbar = time_sum(X) / n
     X -= xbar
     y -= time_sum(y) / n
     for j in [] if beta is None else np.flatnonzero(beta):
-        _subtract_multiple(y, -beta[j], X[:, j], scratch)
+        _subtract_multiple(y, -beta[j], X[:, j])
     cols = [X[:, j] for j in restriction.order]
     rc = np.zeros((width, p + 1, p + 1))  # the augmented R factor
     rc[:, 0, 0] = math.sqrt(n)
@@ -169,7 +162,7 @@ def fit_in_place(data, restriction, beta=None, scratch=None):
             q /= norm
             for j in range(k + 1, p):
                 c = rc[:, k + 1, j + 1] = time_dot(q, cols[j])
-                _subtract_multiple(cols[j], c, q, scratch)
+                _subtract_multiple(cols[j], c, q)
             # q's last use: the residual of y is written over it
             np.multiply(q, time_dot(q, y), out=q)
             y = np.subtract(y, q, out=q)
@@ -188,12 +181,14 @@ def fit_in_place(data, restriction, beta=None, scratch=None):
     return u0, y
 
 
-def _subtract_multiple(v, c, q, scratch):
-    """``v -= c * q`` in place, through ``scratch`` a slab of rows at a time."""
-    step = scratch.shape[0]
+def _subtract_multiple(v, c, q):
+    """``v -= c * q`` in place on ``(n, R)`` arrays, a slab of rows at a
+    time, so that no temporary ``c * q`` takes more than ``SLAB_BYTES``
+    (one row does when a row alone is larger). Each element gets the same
+    multiply and subtract as in one whole-array step."""
+    step = max(1, SLAB_BYTES // max(q[0].nbytes, 1))
     for lo in range(0, v.shape[0], step):
-        part = q[lo : lo + step]
-        v[lo : lo + step] -= np.multiply(part, c, out=scratch[: part.shape[0]])
+        v[lo : lo + step] -= q[lo : lo + step] * c
 
 
 def _check_size(n, p):

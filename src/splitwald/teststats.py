@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import ChiSquareParams, chisq_quantile, chisq_sf, normal_sf
-from .errors import DegenerateVariance, check_integer
+from .errors import DegenerateVariance, NumericOverflow, check_integer
 from .randomization import (
     STREAM_LAYOUT,
     BernoulliRows,
@@ -187,11 +187,10 @@ class StatisticSetup:
     and ``c`` over the squared residuals and computes their totals and the
     sum and square sum of ``c`` on the whole batch at once.
 
-    Its sums over time take time order (:func:`~splitwald.regression.time_sum`)
-    only when the inputs' time axis is strided, as in the batch views that
-    :meth:`fit` passes from :func:`fit_in_place`. Contiguous ``(n, 1)``
-    inputs sum in another order, so a direct caller can get other last bits
-    than the same replication's set-up inside a batch.
+    Its sums over time take time order only on a strided time axis, as in
+    the batch views of :meth:`fit` (see :func:`~splitwald.regression.time_sum`).
+    A replication whose totals or ``c`` square sum overflow float64 raises
+    :class:`NumericOverflow`; finite ones bound every masked sum.
 
     The sums are taken of ``d - m0``, that is with ``c + m0`` in place of
     ``c``, where ``m0 = mean(a) - mean(c)`` is common to all rows. It is the
@@ -208,25 +207,27 @@ class StatisticSetup:
     def __init__(self, u0_sq, u1_sq, sigma2_1):
         self.n = u0_sq.shape[0]
         self.sigma2_1 = sigma2_1
-        self.a = a = np.subtract(u0_sq, sigma2_1, out=u0_sq)
-        self.c = c = np.subtract(u1_sq, sigma2_1, out=u1_sq)
-        a_sum = time_sum(a)
-        self.m0 = a_sum / self.n - time_sum(c) / self.n
-        c += self.m0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.a = a = np.subtract(u0_sq, sigma2_1, out=u0_sq)
+            self.c = c = np.subtract(u1_sq, sigma2_1, out=u1_sq)
+            a_sum = time_sum(a)
+            self.m0 = a_sum / self.n - time_sum(c) / self.n
+            c += self.m0
         self.totals = np.stack([a_sum, time_dot(a, a), time_dot(a, c)])
         self.c_sum = time_sum(c)
         self.c_sq = time_dot(c, c)
+        _check_overflow(np.isfinite(self.totals).all(axis=0) & np.isfinite(self.c_sq))
         self.rows = np.ones((4, self.n))  # [a, a^2, a c, 1] of one replication
 
     @classmethod
-    def fit(cls, data, restriction, beta=None, scratch=None):
+    def fit(cls, data, restriction, beta=None):
         """Both fits of a time-major batch by :func:`fit_in_place`, then the
         set-up of their statistics, with both residuals squared in place."""
-        u0, u1 = fit_in_place(data, restriction, beta, scratch)
-        u1 *= u1
-        sigma2_1 = time_sum(u1) / u1.shape[0]
-        u0 *= u0
-        return cls(u0, u1, sigma2_1)
+        u0, u1 = fit_in_place(data, restriction, beta)
+        with np.errstate(over="ignore"):  # the set-up reports it
+            u1 *= u1
+            u0 *= u0
+        return cls(u0, u1, time_sum(u1) / u1.shape[0])
 
     def sums(self, r, b, out=None):
         """The ``(M, 4)`` sums ``b @ [a, a^2, a c, 1]`` of replication ``r``
@@ -268,28 +269,40 @@ class StatisticSetup:
         ``s_n`` is meaningless. It is degenerate when its variance is at most
         1e-14 of ``sigma2_1^2 + d_bar^2``, which scales as ``d^2`` does, so
         the rule does not depend on the units of ``y``. A noise-free fit,
-        where all three are zero, is degenerate.
+        where all three are zero, is degenerate. A replication whose bound,
+        ``s_d2`` or non-degenerate ``s_n`` overflows raises NumericOverflow.
         """
         n = self.n
         s_a, s_aa, s_ac, counts = np.moveaxis(sums, 2, 0)
         t_a, t_aa, t_ac = self.totals[:, :, None]
-        b_bar = counts / n
-        k1 = 0.5 / b_bar
-        k0 = 0.5 / (1.0 - b_bar)
-        sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[:, None]
-        sum_d2 = k1 * k1 * s_aa + k0 * k0 * (t_aa - s_aa)
-        sum_d2 -= 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
-        sum_d2 += self.c_sq[:, None]
-        del b_bar, k0, k1  # a whole batch's (R, M) arrays add up
-        shift = np.divide(sum_d, n, out=sum_d)
-        d_bar = self.m0[:, None] + shift
-        s_d2 = np.divide(sum_d2, n, out=sum_d2)
-        s_d2 -= shift * shift
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_n = n * d_bar * d_bar / s_d2
         sigma2_1 = self.sigma2_1[:, None]
-        degenerate = s_d2 <= 1e-14 * (sigma2_1 * sigma2_1 + d_bar * d_bar)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b_bar = counts / n
+            k1 = 0.5 / b_bar
+            k0 = 0.5 / (1.0 - b_bar)
+            sum_d = k1 * s_a + k0 * (t_a - s_a) - self.c_sum[:, None]
+            sum_d2 = k1 * k1 * s_aa + k0 * k0 * (t_aa - s_aa)
+            sum_d2 -= 2.0 * (k1 * s_ac + k0 * (t_ac - s_ac))
+            sum_d2 += self.c_sq[:, None]
+            del b_bar, k0, k1  # a whole batch's (R, M) arrays add up
+            shift = np.divide(sum_d, n, out=sum_d)
+            d_bar = self.m0[:, None] + shift
+            s_d2 = np.divide(sum_d2, n, out=sum_d2)
+            s_d2 -= shift * shift
+            s_n = n * d_bar * d_bar / s_d2
+            scale = sigma2_1 * sigma2_1 + d_bar * d_bar
+        degenerate = s_d2 <= 1e-14 * scale
+        # a degenerate draw's s_n may be anything; every other value is finite
+        finite = np.isfinite(s_d2) & np.isfinite(scale) & (degenerate | np.isfinite(s_n))
+        _check_overflow(finite.all(axis=1))
         return s_n, d_bar, s_d2, degenerate
+
+
+def _check_overflow(finite):
+    """Raise for the batch's first replication whose ``finite`` is False."""
+    if not finite.all():
+        message = "residuals too large: their squares' squares overflow float64"
+        raise NumericOverflow(message, index=int(np.argmin(finite)))
 
 
 def p_value(s_m, m, mode):

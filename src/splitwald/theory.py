@@ -66,14 +66,6 @@ def weight_variance(p0):
     return (1.0 - 2.0 * p0) ** 2 / (4.0 * p0 * (1.0 - p0))
 
 
-def _check_ar1(phi1, kurtosis_u):
-    """A stationary AR(1) predictor, and errors whose kurtosis exceeds 1."""
-    if abs(phi1) >= 1:
-        raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
-    if kurtosis_u <= 1:
-        raise InvalidKurtosis(f"kurtosis must exceed 1, got {kurtosis_u!r}")
-
-
 @dataclass
 class LocalAlternative:
     """Local departure from the global null, as the two scalars that
@@ -105,7 +97,10 @@ class LocalAlternative:
         Uses ``q_inf = delta1^2 sigma2_v / (1 - phi1^2)`` and the
         Gaussian-style ``sigma_eta = sigma2_u sqrt(Ku - 1)``.
         """
-        _check_ar1(phi1, kurtosis_u)
+        if abs(phi1) >= 1:
+            raise ValueError(f"|phi1| must be < 1, got {phi1!r}")
+        if kurtosis_u <= 1:
+            raise InvalidKurtosis(f"kurtosis must exceed 1, got {kurtosis_u!r}")
         q_inf = delta1**2 * sigma2_v / (1.0 - phi1**2)
         sigma_eta = sigma2_u * math.sqrt(kurtosis_u - 1.0)
         return cls(q_inf=q_inf, sigma_eta=sigma_eta)
@@ -119,26 +114,14 @@ def ncp_general(p0, m, la):
 
 
 def ncp_ar1(p0, m, delta1, sigma2_v, sigma2_u, phi1, kurtosis_u):
-    """Noncentrality for a single stationary AR(1) predictor, in closed form.
-
+    """Noncentrality for a single stationary AR(1) predictor: ``ncp_general``
+    of ``LocalAlternative.single_stationary``, which is
     ``M f(p0) delta1^4 (sigma2_v / sigma2_u)^2 / ((1 - phi1^2)^2 (Ku - 1))``.
-    This is ``ncp_general`` of ``LocalAlternative.single_stationary``, which
-    takes the square root of ``Ku - 1`` and squares it again, so the two
-    differ in the last bits.
     """
-    p0 = check_p0(p0)
-    m = check_integer("m", m, 1)
-    _check_ar1(phi1, kurtosis_u)
     if sigma2_v <= 0 or sigma2_u <= 0:
         raise ValueError("variances must be positive")
-    return (
-        m
-        * f_p0(p0)
-        * delta1**4
-        * (sigma2_v / sigma2_u) ** 2
-        / (1.0 - phi1**2) ** 2
-        / (kurtosis_u - 1.0)
-    )
+    la = LocalAlternative.single_stationary(delta1, phi1, sigma2_v, sigma2_u, kurtosis_u)
+    return ncp_general(p0, m, la)
 
 
 def asymptotic_power(ncp, m, alpha):

@@ -64,6 +64,23 @@ class TestTestCommand:
         assert captured.err.startswith("ERROR:MemoryError:")
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_statistic_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # y of order 1e80 is finite, but the statistic's sums of its squared
+        # residuals' squares are not; six numpy warnings and a ValueError
+        # from the p-value escaped here before
+        gen = SeedSpec(8).generator()
+        x1 = gen.standard_normal(200).cumsum()
+        y = gen.standard_normal(200) * 1e80
+        lines = ["y,x1"] + [f"{a:.17g},{b:.17g}" for a, b in zip(y, x1)]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(["test", path, "--y", "y", "--x", "x1", "--m", "8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:NumericOverflow:")
+        assert captured.err.count("\n") == 1
+
     def test_same_seed_same_p_value(self, sample_csv, capsys):
         run_cli(["test", sample_csv, "--y", "y", "--x", "x1", "--seed", "0x2A"])
         first = capsys.readouterr().out
@@ -383,6 +400,15 @@ class TestTheoryCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ERROR:InvalidGrid:")
+        assert captured.err.count("\n") == 1
+
+    def test_overflowing_noncentrality_exits_2_with_one_error_line(self, capsys):
+        # an OverflowError from math.lgamma escaped as a traceback here before
+        code = run_cli(["theory", "--curve", "power_vs_m", "--lam", "1e308", "--m-max", 2])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:ValueError:")
         assert captured.err.count("\n") == 1
 
 

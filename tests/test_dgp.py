@@ -62,15 +62,12 @@ def assert_same_sample(y, X, stream, ref, next_words):
 
 
 def assert_batch_matches(batch, refs):
-    """One batch, as views of one buffer: a time-major sample whose
-    predictors and errors equal the oracle's row by row, and the burn-in
-    rows before it as the fit's scratch."""
-    data, scratch, after = batch
+    """One batch: a time-major sample whose predictors and errors equal the
+    oracle's row by row, and the states after each replication's shocks."""
+    data, after = batch
     n, k, w = data.shape
     p = k - 1
     assert w == len(refs) and after.shape == (w, 4) and data.flags.c_contiguous
-    assert scratch.shape[1] == w and scratch.base is data.base
-    assert not np.shares_memory(scratch, data)
     gen = state_generator()
     for i, (ref, next_words) in enumerate(refs):
         assert np.array_equal(data[:, :p, i], ref.X_lagged)
@@ -410,15 +407,14 @@ class TestBatches:
 
         monkeypatch.setattr(dgp, "_recurse_rows", second_batch_blows_up)
         seeds = [SeedSpec(22, r) for r in range(80)]
-        assert len(batch_of(self.SPEC, seeds[:40])[2]) == 40
+        assert len(batch_of(self.SPEC, seeds[:40])[1]) == 40
         with pytest.raises(NumericOverflow, match="not finite") as info:
             batch_of(self.SPEC, seeds[40:])
         assert batches == [40, 40] and info.value.index == 2
 
     def test_no_seeds_no_samples(self):
-        data, scratch, after = batch_of(self.SPEC, [])
-        assert data.shape == (120, 2, 0) and scratch.shape[1] == 0
-        assert after.shape == (0, 4)
+        data, after = batch_of(self.SPEC, [])
+        assert data.shape == (120, 2, 0) and after.shape == (0, 4)
 
 
 class TestPresets:

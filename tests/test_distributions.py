@@ -268,6 +268,26 @@ class TestNoncentral:
         with pytest.raises(ValueError, match="ncp must be a finite real number"):
             asymptotic_power(ncp, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: chisq_cdf(1.0, ChiSquareParams(1, 1e306)),
+            lambda: chisq_cdf(1.0, ChiSquareParams(10**306)),
+            lambda: chisq_sf(1.0, ChiSquareParams(10**306)),
+            lambda: chisq_cdf(1.0, ChiSquareParams(10**400)),
+            lambda: asymptotic_power(1e306, 1, 0.1),
+        ],
+    )
+    def test_df_and_ncp_beyond_lgamma_range_rejected(self, call):
+        # an OverflowError from math.lgamma or from int-to-float escaped here
+        with pytest.raises(ValueError, match="df \\+ ncp must be at most 1e\\+305"):
+            call()
+
+    def test_df_and_ncp_at_the_bound_evaluate(self):
+        assert chisq_cdf(1.0, ChiSquareParams(1, 1e305 - 1.0)) == 0.0
+        assert chisq_sf(1e-300, ChiSquareParams(10**304)) == 1.0
+        assert chisq_cdf(1e-300, ChiSquareParams(10**304, 9e304)) == 0.0
+
     def test_integer_ncp_normalized(self):
         assert type(ChiSquareParams(2, 1).ncp) is float
         assert ChiSquareParams(2, 1) == ChiSquareParams(2, 1.0)

@@ -487,6 +487,18 @@ class TestBatches:
         with pytest.raises(NumericOverflow, match=r"cell 0, replication 0: simulated state"):
             run_plan(plan)
 
+    def test_overflowing_statistic_names_the_replication(self):
+        # a slope of 1e140 leaves finite residuals whose squares' squares
+        # overflow the statistic's sums; numpy warnings and a ValueError
+        # from the p-value escaped here before
+        plan = tiny_plan(
+            dgp=PresetRef("DGP1a", alpha1=0.5), n_grid=(100,), beta_grid=(1e140,)
+        )
+        pattern = r"^cell 0, replication 0: residuals too large"
+        with pytest.raises(NumericOverflow, match=pattern) as info:
+            run_plan(plan)
+        assert info.value.index == 0
+
 
 def oracle_plan(name, cfg, restrict="all", workers=1, n_grid=(80,)):
     kwargs = {"alpha1": 0.9, "sigma_uv": -0.5} if name.startswith("DGP1") else {}
@@ -627,6 +639,9 @@ def test_chunk_peak_memory_is_bounded(monkeypatch):
     cases = [
         (preset("DGP1b", 1000, alpha1=1.0, sigma_uv=-0.9), StatisticConfig(p0=0.40, m=50)),
         (preset("DGP2c_ii", 2000), StatisticConfig.growing(mn_delta=1.0 / 3.0, p0=0.30)),
+        # a slope runs the fit's slab steps, whose temporaries of at most
+        # SLAB_BYTES left the peak as at beta 0 (5.78 MiB here)
+        (preset("DGP1b", 1000, alpha1=1.0, beta=0.05), StatisticConfig(p0=0.40, m=50)),
     ]
     for spec, cfg in cases:
         plan = ExperimentPlan(

@@ -17,7 +17,7 @@ from splitwald import (
 )
 from splitwald.dgp import PRESET_NAMES
 from splitwald.randomization import state_generator
-from splitwald.regression import RCOND_TOL, SCRATCH_MIN_ROWS, _subtract_multiple
+from splitwald.regression import RCOND_TOL, SLAB_BYTES, _subtract_multiple
 from splitwald.teststats import StatisticSetup
 
 from oracle import DesignFactor, fit_residuals
@@ -210,8 +210,7 @@ class TestStack:
         batch = time_major(e, X)
 
         def setup(lo, hi):
-            scratch = np.empty((9, hi - lo))
-            return StatisticSetup.fit(batch[:, :, lo:hi].copy(), R, beta, scratch)
+            return StatisticSetup.fit(batch[:, :, lo:hi].copy(), R, beta)
 
         whole = setup(0, 17)
         for width in (1, 7):
@@ -228,27 +227,40 @@ class TestStack:
                 np.testing.assert_array_equal(part.totals, whole.totals[:, lo : lo + width])
 
     @pytest.mark.parametrize("n", [100, 600])
-    def test_a_short_scratch_is_not_used(self, n, monkeypatch):
-        # a plan with burn_in 0 hands the fit one burn-in row as scratch;
-        # slabs of one row would loop once per observation
-        rows = []
+    def test_slabs_follow_n_and_width_alone(self, n, monkeypatch):
+        # the fit's slabs once were the burn-in rows, so a plan with burn_in
+        # 0 looped once per observation; now a 40-wide batch takes the same
+        # slab steps at either burn-in, and no temporary c * q takes more
+        # than SLAB_BYTES
+        calls = []
 
-        def spy(v, c, q, scratch):
-            rows.append(scratch.shape[0])
-            return _subtract_multiple(v, c, q, scratch)
+        class Slabs(np.ndarray):
+            def __mul__(self, other):
+                product = super().__mul__(other)
+                calls[-1].append(product.nbytes)
+                return product
+
+        def spy(v, c, q):
+            calls.append([])
+            _subtract_multiple(v, c, q.view(Slabs))
 
         monkeypatch.setattr("splitwald.regression._subtract_multiple", spy)
-        spec = preset("DGP2a", n, beta=0.3, burn_in=0)
         R = Restriction.subset([1], 3)
-        data, scratch, _ = simulate_many(
-            spec, SeedSpec(5).child_states(0, 4), state_generator()
-        )
-        assert scratch.shape[0] == 1
-        whole = [u.copy() for u in fit_in_place(data.copy(), R, spec.beta)]
-        u0, u1 = fit_in_place(data, R, spec.beta, scratch)
-        assert rows and min(rows) >= min(n, SCRATCH_MIN_ROWS)
-        np.testing.assert_array_equal(u0, whole[0])
-        np.testing.assert_array_equal(u1, whole[1])
+        steps = []
+        for burn_in in (0, 200):
+            spec = preset("DGP2a", n, beta=0.3, burn_in=burn_in)
+            data, _ = simulate_many(
+                spec, SeedSpec(5).child_states(0, 40), state_generator()
+            )
+            calls.clear()
+            fit_in_place(data, R, spec.beta)
+            # three slopes, then three pairs of columns in Gram-Schmidt
+            assert len(calls) == 6
+            for sizes in calls:
+                assert sum(sizes) == n * 40 * 8 and max(sizes) <= SLAB_BYTES
+            steps.append([list(sizes) for sizes in calls])
+        assert steps[0] == steps[1]
+        assert len(steps[0][0]) == -(-n * 40 * 8 // SLAB_BYTES)
 
     @pytest.mark.parametrize("bad", ["collinear", "constant"])
     def test_stack_raises_where_the_oracle_does(self, bad):
@@ -321,8 +333,8 @@ class TestAgainstQrOracle:
         y, X = (np.array(stack) for stack in zip(*samples))
         u1_qr, u0_qr = fit_residuals(y, X, restriction)
         states = SeedSpec(3, 1).child_states(0, 40)  # the starts of seeds' streams
-        data, scratch, _ = simulate_many(spec, states, state_generator())
-        u0, u1 = fit_in_place(data, restriction, spec.beta, scratch)
+        data, _ = simulate_many(spec, states, state_generator())
+        u0, u1 = fit_in_place(data, restriction, spec.beta)
         assert relative_gap(u1, u1_qr) <= 1e-12
         assert relative_gap(u0, u0_qr) <= 1e-12
 

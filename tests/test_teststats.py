@@ -9,6 +9,7 @@ from splitwald import (
     DegenerateVariance,
     InvalidDelta,
     InvalidP0,
+    NumericOverflow,
     PresetRef,
     RegressionData,
     Restriction,
@@ -24,7 +25,7 @@ from splitwald import (
     simulate,
 )
 from splitwald.experiments import ExperimentPlan, run_plan
-from splitwald.randomization import BernoulliRows, unmixed
+from splitwald.randomization import BernoulliRows, state_generator, unmixed
 from splitwald.regression import time_sum
 from splitwald.teststats import StatisticSetup
 
@@ -481,6 +482,27 @@ class TestBatchedClosedForm:
                 assert np.array_equal(batched, one)
         assert raised == [bad]
         assert np.flatnonzero(degenerate.any(axis=1)).tolist() == [bad]
+
+
+    def test_closed_form_overflow_names_its_replication(self):
+        # replication 1's residuals keep the set-up's totals finite, 97% of
+        # the float range for sum(a^2), but at p0=0.3 the weighted sums of
+        # the closed form pass it; its other replications are fine
+        n, width = 200, 3
+        gen = SeedSpec(41).generator()
+        X = gen.standard_normal((width, n, 1)).cumsum(axis=1)
+        y = gen.standard_normal((width, n))
+        batch = np.concatenate([X, y[:, :, None]], axis=2).transpose(1, 2, 0)
+        restriction = Restriction.all_slopes(1)
+        t_aa = StatisticSetup.fit(batch.copy(), restriction).totals[1, 1]
+        batch[:, 1, 1] *= (0.97 * np.finfo(float).max / t_aa) ** 0.25
+        setup = StatisticSetup.fit(batch, restriction)
+        assert np.isfinite(setup.totals).all() and np.isfinite(setup.c_sq).all()
+        states = SeedSpec(41).child_states(0, width)
+        sums = setup.draw_sums(states, state_generator(), 0.30, 9)
+        with pytest.raises(NumericOverflow, match="residuals too large") as info:
+            setup.statistics(sums)
+        assert info.value.index == 1
 
 
 class TestNullBehaviour:
